@@ -106,7 +106,6 @@ struct WarmResult {
 /// simulated throughput.
 fn warm_pass(workers: usize) -> WarmResult {
     let (heaven, oids) = build(1, 2, true);
-    let heaven = heaven.into_concurrent();
     let oid = oids[0];
     // Stage every super-tile onto the disk cache (cold, shared clock).
     heaven
@@ -157,9 +156,8 @@ fn cold_pass(batching: bool) -> ColdResult {
     let objects = 4usize;
     let workers = 4usize;
     let steps = 8usize;
-    let (heaven, oids) = build(objects, 1, batching);
+    let (mut heaven, oids) = build(objects, 1, batching);
     let mounts_before = heaven.tape_stats().mounts;
-    let mut heaven = heaven.into_concurrent();
     heaven.set_batch_window(Duration::from_millis(25));
     let heaven = heaven;
     let t0 = heaven.clock().now_s();

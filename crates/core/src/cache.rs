@@ -430,37 +430,16 @@ impl SuperTileCache {
     pub fn put(&self, st: SuperTileId, payload: impl Into<Bytes>, refetch_cost_s: f64) {
         let payload = payload.into();
         let size = payload.len() as u64;
-        self.put_sized(st, payload, size, refetch_cost_s, None);
-    }
-
-    /// [`SuperTileCache::put`] charging the disk cost to a session's
-    /// private clock lane instead of the shared clock.
-    pub fn put_clocked(
-        &self,
-        st: SuperTileId,
-        payload: impl Into<Bytes>,
-        refetch_cost_s: f64,
-        lane: &SimClock,
-    ) {
-        let payload = payload.into();
-        let size = payload.len() as u64;
-        self.put_sized(st, payload, size, refetch_cost_s, Some(lane));
+        self.put_sized(st, payload, size, refetch_cost_s);
     }
 
     /// Insert a phantom entry: accounted as `size` bytes without holding
     /// them (paper-scale experiments). Lookups return an empty payload.
     pub fn put_phantom(&self, st: SuperTileId, size: u64, refetch_cost_s: f64) {
-        self.put_sized(st, Bytes::new(), size, refetch_cost_s, None);
+        self.put_sized(st, Bytes::new(), size, refetch_cost_s);
     }
 
-    fn put_sized(
-        &self,
-        st: SuperTileId,
-        payload: Bytes,
-        size: u64,
-        refetch_cost_s: f64,
-        lane: Option<&SimClock>,
-    ) {
+    fn put_sized(&self, st: SuperTileId, payload: Bytes, size: u64, refetch_cost_s: f64) {
         let mut shard = self.lock_shard(st);
         if size > shard.capacity {
             return;
@@ -476,7 +455,7 @@ impl SuperTileCache {
                     self.metrics.evictions.inc();
                     self.bus.event(
                         "cache.st.evict",
-                        self.now_s(lane),
+                        self.now_s(None),
                         &[
                             ("st", victim.into()),
                             ("bytes", e.size.into()),
@@ -489,14 +468,14 @@ impl SuperTileCache {
         }
         shard.counter += 1;
         let counter = shard.counter;
-        let io = self.charge(size, lane);
+        let io = self.charge(size, None);
         self.metrics.io_s.add(io);
         if self.disk.is_some() {
             self.metrics.io_hist.observe(io);
         }
         self.bus.event(
             "cache.st.admit",
-            self.now_s(lane),
+            self.now_s(None),
             &[
                 ("st", st.into()),
                 ("bytes", size.into()),
@@ -828,15 +807,16 @@ mod tests {
             EvictionPolicy::Lru,
             Some((DiskProfile::scsi2003(), shared.clone())),
         );
+        c.put(1, payload(30 << 20, 0), 10.0);
+        let staged = shared.now_s();
         let lane = shared.fork();
-        c.put_clocked(1, payload(30 << 20, 0), 10.0, &lane);
         c.get_clocked(1, &lane);
         assert_eq!(
             shared.now_s(),
-            0.0,
+            staged,
             "lane I/O must not move the shared clock"
         );
-        assert!(lane.now_s() > 2.0);
+        assert!(lane.now_s() > staged + 0.9);
         assert_eq!(c.stats().hits, 1);
     }
 

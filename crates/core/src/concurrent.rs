@@ -1,126 +1,60 @@
-//! Multi-session concurrent query execution over the HEAVEN hierarchy.
+//! Query sessions: the one retrieval engine of the HEAVEN hierarchy.
 //!
-//! [`ConcurrentHeaven`] is the `Send + Sync` façade over a built
-//! [`Heaven`] system: build and export single-threaded, call
-//! [`Heaven::into_concurrent`], then serve queries from any number of
-//! session threads. Three mechanisms make that safe *and* fast:
+//! Every query, whatever entry point issued it, runs [`Session`]'s body:
+//! classify the needed tiles (memory tile cache → DBMS disk → exported
+//! super-tiles), take cached super-tiles first and then the tape misses
+//! in [`schedule`]d order, read only the member tiles of a sparse
+//! request on random-access media, stage, decode and patch, and prefetch
+//! successors in cluster order (paper §3.5–§3.6). A session is
 //!
-//! * **Sharded caches** — both cache levels are lock-striped
-//!   (see [`crate::cache`]), so sessions touching different super-tiles
-//!   never serialize on a cache lock;
-//! * **Session time lanes** — each [`Session`] forks the shared
-//!   [`SimClock`] into a private lane and charges its *overlappable*
-//!   work (disk-cache reads, decode) there; dropping the session re-joins
-//!   the shared timeline with `advance_to_s`, so the simulated makespan
-//!   of N concurrent sessions is the slowest lane, not the sum — exactly
-//!   how wall-clock time behaves for parallel clients of one archive;
-//! * **Cross-session tape batching** — the tape library stays the serial
-//!   shared resource. Instead of each session mounting media on its own
-//!   ([`HeavenConfig::cross_session_batching`] = false: per-session FIFO
-//!   staging), sessions enqueue their [`FetchRequest`]s with the
-//!   [`FetchBatcher`]; one session becomes the *drainer*, waits a short
-//!   batching window for peers to pile on (a condvar handoff — each new
-//!   arrival re-arms a quiet period, so the window closes as soon as
-//!   enqueueing goes idle), then stages the merged batch in one
-//!   scheduled sweep (mounted-media first, ascending offsets,
-//!   drive-parallel rounds). Duplicate super-tile requests **coalesce**:
-//!   one tape fetch resolves every waiting session
-//!   (`sched.coalesced_fetches` counts the saved fetches).
+//! * **exclusive** — run by [`Heaven`]'s single-owner entry points
+//!   (`&mut self` proves no peer exists): its lane *is* the shared clock
+//!   and it stages tape reads directly; or
+//! * **shared** — opened by [`Heaven::session`] on `&self`, any number
+//!   at a time. Each forks the shared [`SimClock`] into a private lane
+//!   charged with its overlappable work (disk-cache reads) and re-joins
+//!   the shared timeline on drop, so N sessions' makespan is the slowest
+//!   lane. Both cache levels are lock-striped. Tape misses go through the
+//!   `FetchBatcher`: one waiting session becomes the *drainer*, waits a
+//!   short batching window for peers (each arrival re-arms a quiet
+//!   period), then stages the merged batch in one scheduled,
+//!   drive-parallel sweep; duplicate requests **coalesce** onto one tape
+//!   read (`sched.coalesced_fetches`). With
+//!   [`crate::HeavenConfig::cross_session_batching`] off, shared sessions
+//!   stage directly (per-session FIFO, the baseline).
+//!
+//! **Direct staging** (`Session::stage`) treats the tape as a serial
+//! server: a request issued at lane time *t* starts no earlier than *t*,
+//! and the lane re-joins the shared clock once the payload is cached.
+//! Both are no-ops for the exclusive session, so a lone direct-staging
+//! session costs exactly what the single-owner facade costs.
 //!
 //! Under fault injection the batcher is also the recovery ladder: a
-//! transiently failed fetch is *requeued* into the next drain iteration
-//! (`sched.requeued_fetches`) with its coalesced waiters intact, a copy
-//! that exhausts its retries or fails checksum verification fails over
-//! to the replica, and only when every copy is gone do the waiters get a
-//! typed [`HeavenError::MediaLost`].
-//!
-//! The batcher is also where the trace model turns **causal across
-//! sessions**: every tertiary fetch runs inside a `heaven.st_fetch` span
-//! that *links* to the shared `sched.batch` span which staged it, emits
-//! a `sched.served` event decomposing its latency into queue vs service
-//! time (`sched.queue_wait_s` / `sched.service_s` histograms), and every
-//! session record is stamped with the session id — so an offline
-//! profiler (`heaven-prof critical-path`) can attribute any session's
-//! wait to the shared fetch that actually served it. A deterministic
-//! stall watchdog ([`HeavenConfig::stall_window_mult`]) flags fetches
-//! that survive too many drain passes (`sched.stalls` + `sched.stall`
-//! events naming the blocking medium).
+//! transiently failed fetch is *requeued* (`sched.requeued_fetches`) with
+//! its coalesced waiters intact, a copy that exhausts its retries or
+//! fails its checksum fails over to the replica, and only when every
+//! copy is gone do the waiters get a typed [`HeavenError::MediaLost`].
+//! Tracing is causal across sessions: each waiter's `heaven.st_fetch`
+//! span *links* to the `sched.batch` span that staged it, a
+//! `sched.served` event splits its latency into queue vs service time,
+//! and a deterministic stall watchdog
+//! ([`crate::HeavenConfig::stall_window_mult`]) flags fetches that
+//! survive too many drain passes.
 
-use crate::cache::{CacheStats, SuperTileCache, TileCache};
-use crate::catalog::SuperTileCatalog;
-use crate::config::HeavenConfig;
+use crate::config::PrefetchPolicy;
 use crate::error::{HeavenError, Result};
-use crate::recovery::{read_with_recovery, RecoveryMetrics};
-use crate::scheduler::{plan_drive_rounds, schedule, FetchRequest};
-use crate::supertile::{checksum64, decode_member, SuperTileId};
+use crate::scheduler::{count_exchanges, plan_drive_rounds, schedule, FetchRequest};
+use crate::supertile::{checksum64, decode_member, SuperTileId, SuperTileMeta};
 use crate::system::Heaven;
 use bytes::Bytes;
-use heaven_array::{MDArray, Minterval, ObjectId, TileId};
-use heaven_arraydb::{ArrayDb, TileLocation};
-use heaven_hsm::{BlockAddress, DirectStore, HsmError};
-use heaven_obs::{Counter, Histogram, MetricsRegistry, TraceBus};
-use heaven_tape::{SimClock, TapeError, TapeStats};
-use parking_lot::{Condvar, Mutex, RwLock};
+use heaven_array::{Condenser, MDArray, Minterval, ObjectId, Tile, TileId};
+use heaven_arraydb::{ObjectMeta, TileLocation, TileProvider};
+use heaven_hsm::{BlockAddress, HsmError};
+use heaven_tape::{SimClock, TapeError};
+use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Concurrency-path metric handles (same registry as the rest of the
-/// hierarchy; `heaven.*` names continue the single-owner counters).
-#[derive(Debug, Clone)]
-struct ConcMetrics {
-    region_fetches: Counter,
-    st_tape_fetches: Counter,
-    st_tape_bytes: Counter,
-    bytes_copied: Counter,
-    /// Tape fetches saved because a session's request coalesced onto an
-    /// identical in-flight request of another session.
-    coalesced_fetches: Counter,
-    /// Cross-session staging batches drained.
-    batches: Counter,
-    /// Fetch requests staged through cross-session batches.
-    batched_fetches: Counter,
-    /// Batched fetches put back in the queue after a transient failure
-    /// (retry) or for their replica copy (failover).
-    requeued_fetches: Counter,
-    /// Queued fetches flagged by the stall watchdog (once per fetch; see
-    /// [`HeavenConfig::stall_window_mult`]).
-    stalls: Counter,
-    /// Per tertiary fetch: simulated seconds between enqueueing and the
-    /// start of the staging round that served it (includes retry backoff
-    /// and earlier drain passes the fetch requeued through).
-    queue_wait: Histogram,
-    /// Per tertiary fetch: simulated seconds from staging start to
-    /// waiter notification (mount + locate + transfer of its round).
-    service: Histogram,
-    /// Session query latency (same series the single-owner bracketed
-    /// path observes); fed here with the query span as its exemplar.
-    query_latency: Histogram,
-}
-
-impl ConcMetrics {
-    fn new(registry: &MetricsRegistry) -> ConcMetrics {
-        let query_latency = registry.histogram("heaven.query_latency_s");
-        // Exemplar tables are sized at registration so the per-query
-        // observe stays allocation-free.
-        query_latency.reserve_exemplars();
-        ConcMetrics {
-            region_fetches: registry.counter("heaven.region_fetches"),
-            st_tape_fetches: registry.counter("heaven.st_tape_fetches"),
-            st_tape_bytes: registry.counter("heaven.st_tape_bytes"),
-            bytes_copied: registry.counter("heaven.bytes_copied"),
-            coalesced_fetches: registry.counter("sched.coalesced_fetches"),
-            batches: registry.counter("sched.batches"),
-            batched_fetches: registry.counter("sched.batched_fetches"),
-            requeued_fetches: registry.counter("sched.requeued_fetches"),
-            stalls: registry.counter("sched.stalls"),
-            queue_wait: registry.histogram("sched.queue_wait_s"),
-            service: registry.histogram("sched.service_s"),
-            query_latency,
-        }
-    }
-}
 
 /// A queued tertiary fetch plus its recovery state: which attempt this
 /// is, whether it already failed over to the second copy, and the
@@ -132,6 +66,8 @@ struct PendingFetch {
     on_replica: bool,
     replica: Option<BlockAddress>,
     checksum: Option<u64>,
+    /// Catalogued uncompressed payload length (undoes the wire codec).
+    total_len: u64,
     /// Shared-clock instant the first waiter enqueued this super-tile
     /// (survives requeues: queue time accumulates across the ladder).
     enqueue_s: f64,
@@ -215,11 +151,11 @@ pub(crate) struct FetchBatcher {
     arrived: Condvar,
     inflight: Mutex<HashMap<SuperTileId, Arc<Inflight>>>,
     drain: Mutex<()>,
-    window: Duration,
+    pub(crate) window: Duration,
 }
 
 impl FetchBatcher {
-    fn new(window: Duration) -> FetchBatcher {
+    pub(crate) fn new(window: Duration) -> FetchBatcher {
         FetchBatcher {
             queue: Mutex::new(BatchQueue::default()),
             arrived: Condvar::new(),
@@ -232,7 +168,7 @@ impl FetchBatcher {
     /// Fetch a super-tile through the shared batch: returns the shared
     /// [`Served`] outcome plus whether this waiter coalesced onto an
     /// already-queued request (vs. registering it).
-    fn fetch(&self, h: &ConcurrentHeaven, mut p: PendingFetch) -> Result<(Served, bool)> {
+    fn fetch(&self, h: &Heaven, mut p: PendingFetch) -> Result<(Served, bool)> {
         let (entry, coalesced) = {
             let mut map = self.inflight.lock();
             match map.get(&p.req.st) {
@@ -316,7 +252,7 @@ impl FetchBatcher {
     /// intact — the inflight entry survives); failures resolve the
     /// affected entries (nobody is left parked on a fetch that will never
     /// complete).
-    fn drain_all(&self, h: &ConcurrentHeaven) {
+    fn drain_all(&self, h: &Heaven) {
         let mut reqs: Vec<PendingFetch> = std::mem::take(&mut self.queue.lock().pending);
         if reqs.is_empty() {
             return;
@@ -385,41 +321,17 @@ impl FetchBatcher {
             ],
         );
         for round in rounds {
-            // One drive per group: run each group on a detached clock lane
-            // and land the slowest lane on the shared timeline, so groups
-            // transfer in parallel but errors stay per-request.
+            // One drive per group: groups transfer in parallel, errors
+            // stay per request.
             let t0 = store.clock().now_s();
-            let mut window = 0.0f64;
-            let mut results: Vec<(FetchRequest, std::result::Result<Bytes, HsmError>)> =
-                Vec::with_capacity(round.iter().map(Vec::len).sum());
-            for group in &round {
-                let (res, dt) = store.library_mut().run_detached(|lib| {
-                    group
-                        .iter()
-                        .map(|r| {
-                            let read = lib
-                                .read(r.addr.medium, r.addr.offset, r.addr.len)
-                                .map_err(HsmError::from);
-                            (*r, read)
-                        })
-                        .collect::<Vec<_>>()
-                });
-                results.extend(res);
-                window = window.max(dt);
-            }
-            store.clock().advance_to_s(t0 + window);
+            let addrs: Vec<Vec<BlockAddress>> = round
+                .iter()
+                .map(|g| g.iter().map(|r| r.addr).collect())
+                .collect();
+            let results = round.iter().flatten().zip(store.read_parallel(&addrs));
             let done_s = store.clock().now_s();
-            for (r, res) in results {
-                let p = by_st.get(&r.st).copied().unwrap_or(PendingFetch {
-                    req: r,
-                    attempt: 0,
-                    on_replica: false,
-                    replica: None,
-                    checksum: None,
-                    enqueue_s: t0,
-                    drains: 1,
-                    stalled: false,
-                });
+            for (&r, res) in results {
+                let p = by_st[&r.st];
                 match res {
                     Ok(raw) => {
                         if let Some(sum) = p.checksum {
@@ -440,12 +352,8 @@ impl FetchBatcher {
                                 continue;
                             }
                         }
-                        h.metrics.st_tape_fetches.inc();
-                        h.metrics.st_tape_bytes.add(r.addr.len);
-                        let refetch = store.estimate_read_s(r.addr);
-                        match h.maybe_decompress(r.st, raw) {
+                        match h.admit(&p, raw, store.estimate_read_s(r.addr)) {
                             Ok(payload) => {
-                                h.st_cache.put(r.st, payload.clone(), refetch);
                                 // Decompose the fetch's latency: queue =
                                 // enqueue → this round's staging start
                                 // (backoffs and earlier passes included),
@@ -495,7 +403,7 @@ impl FetchBatcher {
 
     /// Move a request to its second archive copy, or declare the
     /// super-tile lost when there is none (or the replica failed too).
-    fn fail_over(&self, h: &ConcurrentHeaven, p: PendingFetch) {
+    fn fail_over(&self, h: &Heaven, p: PendingFetch) {
         if !p.on_replica {
             if let Some(r) = p.replica {
                 self.requeue(
@@ -525,7 +433,7 @@ impl FetchBatcher {
     /// Put a request back in the queue for the next drain iteration. The
     /// inflight entry stays, so every coalesced waiter keeps waiting on
     /// the same slot — nobody is dropped or double-notified.
-    fn requeue(&self, h: &ConcurrentHeaven, p: PendingFetch) {
+    fn requeue(&self, h: &Heaven, p: PendingFetch) {
         h.metrics.requeued_fetches.inc();
         h.bus.event(
             "sched.requeue",
@@ -552,166 +460,80 @@ impl FetchBatcher {
     }
 }
 
-/// The `Send + Sync` multi-session HEAVEN system.
-///
-/// Built from a fully assembled [`Heaven`] via
-/// [`Heaven::into_concurrent`]. Query state that sessions share mutably
-/// sits behind interior synchronization: the array DBMS and the tape
-/// store behind mutexes (the DBMS for its buffer pool, the store because
-/// the tape library is physically serial), the catalog behind a reader/
-/// writer lock (read-mostly), and both caches lock-striped internally.
-#[derive(Debug)]
-pub struct ConcurrentHeaven {
-    adb: Mutex<ArrayDb>,
-    store: Mutex<DirectStore>,
-    catalog: RwLock<SuperTileCatalog>,
-    tile_cache: TileCache,
-    st_cache: SuperTileCache,
-    batcher: FetchBatcher,
-    config: HeavenConfig,
-    registry: MetricsRegistry,
-    bus: TraceBus,
-    clock: SimClock,
-    metrics: ConcMetrics,
-    recovery: RecoveryMetrics,
-    /// Monotone session-id source; ids key trace records (`"session":N`)
-    /// and the profiler's per-session lanes.
-    next_session: AtomicU64,
+impl PendingFetch {
+    /// A first-attempt fetch of `st` on its primary copy, with what the
+    /// catalog knows for recovery and decoding.
+    fn locate(h: &Heaven, st: SuperTileId) -> Result<PendingFetch> {
+        let cat = h.catalog.read();
+        Ok(PendingFetch {
+            req: FetchRequest {
+                st,
+                addr: cat.address(st)?,
+            },
+            attempt: 0,
+            on_replica: false,
+            replica: cat.replica(st),
+            checksum: cat.checksum(st),
+            total_len: cat.meta(st)?.total_len,
+            enqueue_s: 0.0, // stamped at batcher registration, under the lock
+            drains: 0,
+            stalled: false,
+        })
+    }
 }
 
-impl ConcurrentHeaven {
-    /// Convert a built system (see [`Heaven::into_concurrent`]).
-    pub fn from_heaven(heaven: Heaven) -> ConcurrentHeaven {
-        let (adb, store, catalog, tile_cache, st_cache, config, registry, bus) =
-            heaven.into_concurrent_parts();
-        let clock = store.clock();
-        let metrics = ConcMetrics::new(&registry);
-        let recovery = RecoveryMetrics::new(&registry);
-        ConcurrentHeaven {
-            adb: Mutex::new(adb),
-            store: Mutex::new(store),
-            catalog: RwLock::new(catalog),
-            tile_cache,
-            st_cache,
-            batcher: FetchBatcher::new(Duration::from_millis(2)),
-            config,
-            registry,
-            bus,
-            clock,
-            metrics,
-            recovery,
-            next_session: AtomicU64::new(1),
-        }
+impl Heaven {
+    /// Count a super-tile read from tape, undo its wire codec and admit
+    /// it to the disk cache — the last step of both staging paths.
+    fn admit(&self, p: &PendingFetch, raw: Bytes, refetch_s: f64) -> Result<Bytes> {
+        let len = p.req.addr.len;
+        self.metrics.st_tape_fetches.inc();
+        self.metrics.st_tape_bytes.add(len);
+        self.metrics.st_fetch_bytes_hist.observe(len as f64);
+        let payload = self.maybe_decompress(raw, p.total_len)?;
+        self.st_cache.put(p.req.st, payload.clone(), refetch_s);
+        Ok(payload)
     }
 
-    /// Open a query session with its own simulated-time lane (forked at
-    /// the shared clock's current instant) and a fresh session id for
-    /// trace attribution. Dropping the session re-joins the shared
-    /// timeline.
+    /// Open a shared query session with its own simulated-time lane
+    /// (forked at the shared clock's current instant) and a fresh
+    /// session id for trace attribution. Dropping the session re-joins
+    /// the shared timeline.
     pub fn session(&self) -> Session<'_> {
         Session {
             h: self,
-            id: self.next_session.fetch_add(1, Ordering::Relaxed),
+            id: self
+                .next_session
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             lane: self.clock.fork(),
+            exclusive: false,
         }
     }
 
-    /// The batching window: how long (host time) a drainer waits for peer
-    /// sessions to enqueue before staging the merged batch. Zero disables
-    /// the wait (requests still coalesce when they genuinely overlap).
-    pub fn set_batch_window(&mut self, window: Duration) {
-        self.batcher.window = window;
-    }
-
-    /// Arm (or disarm, with `None`) deterministic fault injection on the
-    /// shared library — the concurrent twin of [`Heaven::set_fault_plan`].
-    pub fn set_fault_plan(&self, config: Option<heaven_tape::FaultConfig>) {
-        self.store.lock().library_mut().set_fault_plan(config);
-    }
-
-    /// The shared simulated clock (re-joined by every finished session).
-    pub fn clock(&self) -> SimClock {
-        self.clock.clone()
-    }
-
-    /// The shared metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// The trace bus (span/event/link stream keyed to simulated time).
-    pub fn trace(&self) -> &TraceBus {
-        &self.bus
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HeavenConfig {
-        &self.config
-    }
-
-    /// Tertiary-storage statistics.
-    pub fn tape_stats(&self) -> TapeStats {
-        self.store.lock().stats()
-    }
-
-    /// Fault-injection statistics of the shared library.
-    pub fn fault_stats(&self) -> heaven_tape::FaultStats {
-        self.store.lock().library().fault_stats()
-    }
-
-    /// Disk super-tile cache statistics.
-    pub fn st_cache_stats(&self) -> CacheStats {
-        self.st_cache.stats()
-    }
-
-    /// Memory tile cache statistics.
-    pub fn tile_cache_stats(&self) -> CacheStats {
-        self.tile_cache.stats()
-    }
-
-    /// Clear both cache levels (between experiment phases).
-    pub fn clear_caches(&self) {
-        self.tile_cache.clear();
-        self.st_cache.clear();
-    }
-
-    /// Undo payload compression on wire bytes read from tape (zero-copy
-    /// when compression is off or the payload shipped raw) — the
-    /// concurrent twin of `Heaven::maybe_decompress`. The catalogued
-    /// uncompressed length of `st` disambiguates untagged raw
-    /// pass-through from legacy pre-frame RLE streams.
-    fn maybe_decompress(&self, st: SuperTileId, bytes: Bytes) -> Result<Bytes> {
-        if !self.config.compress {
-            return Ok(bytes);
-        }
-        let expected = self.catalog.read().meta(st)?.total_len;
-        let (out, codec) = heaven_array::decode_wire(&bytes, expected)
-            .map_err(|e| HeavenError::Codec(format!("corrupt compressed super-tile: {e}")))?;
-        if codec != heaven_array::Codec::Raw {
-            self.metrics.bytes_copied.add(out.len() as u64);
-        }
-        Ok(out)
-    }
-
-    /// Record the memcpy performed by patching `src` into `out`.
-    fn note_patch_copy(&self, out: &MDArray, src: &MDArray) {
-        if let Some(ov) = out.domain().intersection(src.domain()) {
-            self.metrics
-                .bytes_copied
-                .add(ov.cell_count() * out.cell_type().size_bytes() as u64);
+    /// The exclusive session the single-owner entry points run on: its
+    /// lane *is* the shared clock and it stages directly. Sound only
+    /// while no shared session runs — callers hold `&mut Heaven`, or
+    /// (metadata lookups) never stage.
+    pub(crate) fn exclusive_session(&self) -> Session<'_> {
+        Session {
+            h: self,
+            id: 0,
+            lane: self.clock.clone(),
+            exclusive: true,
         }
     }
 }
 
-/// One query session: a handle on the shared system plus a private
-/// simulated-time lane. Overlappable work (disk-cache I/O, decode) is
-/// charged to the lane; the shared tape library charges the shared clock
-/// and waiters fast-forward their lanes to the staging completion.
+/// A query session: a handle on the system plus a simulated-time lane
+/// (see the module docs for exclusive vs shared sessions). Disk-cache
+/// I/O is charged to the lane; tape staging charges the shared clock and
+/// the lane fast-forwards to the staging completion.
 #[derive(Debug)]
 pub struct Session<'h> {
-    h: &'h ConcurrentHeaven,
+    h: &'h Heaven,
     id: u64,
     lane: SimClock,
+    exclusive: bool,
 }
 
 impl Session<'_> {
@@ -720,18 +542,7 @@ impl Session<'_> {
         self.lane.now_s()
     }
 
-    /// This session's trace id (stamped as `"session":N` on its records).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The session's private clock lane.
-    pub fn lane(&self) -> &SimClock {
-        &self.lane
-    }
-
-    /// Materialize `region` of `oid` across the hierarchy — the
-    /// multi-session twin of [`Heaven::fetch_region_hierarchical`].
+    /// Materialize `region` of `oid` across the hierarchy.
     ///
     /// Opens a root `query` span stamped with this session's id, and
     /// observes `heaven.query_latency_s` with the span as the histogram
@@ -740,16 +551,13 @@ impl Session<'_> {
     /// sampling's divert flag is bus-global and concurrent sessions
     /// would race it.)
     pub fn fetch_region(&self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
-        self.h.metrics.region_fetches.inc();
-        self.h.bus.set_session(self.id);
+        let bus = &self.h.bus;
+        bus.set_session(self.id);
         let start_s = self.lane.now_s();
-        let span = self
-            .h
-            .bus
-            .span_start("query", start_s, &[("oid", oid.into())]);
+        let span = bus.span_start("query", start_s, &[("oid", oid.into())]);
         let res = self.fetch_region_inner(oid, region);
         let end_s = self.lane.now_s();
-        self.h.bus.span_end(span, end_s);
+        bus.span_end(span, end_s);
         self.h
             .metrics
             .query_latency
@@ -757,8 +565,11 @@ impl Session<'_> {
         res
     }
 
-    fn fetch_region_inner(&self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
-        let meta = self.h.adb.lock().object(oid)?.clone();
+    /// The retrieval body every entry point runs (paper §3.5.2).
+    pub(crate) fn fetch_region_inner(&self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
+        let h = self.h;
+        h.metrics.region_fetches.inc();
+        let meta = h.adb.lock().object(oid)?.clone();
         let target = meta.domain.intersection(region).ok_or_else(|| {
             HeavenError::Config(format!(
                 "region {region} outside object domain {}",
@@ -766,93 +577,252 @@ impl Session<'_> {
             ))
         })?;
         let mut out = MDArray::zeros(target.clone(), meta.cell_type);
+        // Classify needed tiles: memory, DBMS disk, or an exported
+        // super-tile.
         let mut pending: BTreeMap<SuperTileId, Vec<TileId>> = BTreeMap::new();
         for tid in meta.tiles_intersecting(&target) {
-            if let Some(t) = self.h.tile_cache.get(tid) {
-                self.h.note_patch_copy(&out, &t.data);
+            if let Some(t) = h.tile_cache.get(tid) {
+                h.note_patch_copy(&out, &t.data);
                 out.patch(&t.data)?;
                 continue;
             }
-            let loc = self.h.adb.lock().tile_location(tid)?;
-            match loc {
-                TileLocation::Disk => {
-                    let t = self.h.adb.lock().read_tile(tid)?;
-                    self.h.note_patch_copy(&out, &t.data);
+            match self.disk_tile(tid)? {
+                Some(t) => {
+                    h.note_patch_copy(&out, &t.data);
                     out.patch(&t.data)?;
-                    self.h.tile_cache.put(t);
+                    h.tile_cache.put(t);
                 }
-                TileLocation::Exported => {
-                    let st = self.h.catalog.read().supertile_of(tid)?;
+                None => {
+                    let st = h.catalog.read().supertile_of(tid)?;
                     pending.entry(st).or_default().push(tid);
                 }
             }
         }
-        for (st, tids) in pending {
-            let payload = self.supertile_payload(st)?;
-            let meta_st = self.h.catalog.read().meta(st)?.clone();
-            for tid in tids {
-                let t = decode_member(&meta_st, &payload, tid)?;
-                self.h.note_patch_copy(&out, &t.data);
-                out.patch(&t.data)?;
-                self.h.tile_cache.put(t);
+        // Cached super-tiles first, then the tape misses in scheduled
+        // order.
+        let mut ordered: Vec<SuperTileId> = Vec::new();
+        let mut to_fetch = Vec::new();
+        {
+            let cat = h.catalog.read();
+            for &st in pending.keys() {
+                if h.st_cache.contains(st) {
+                    ordered.push(st);
+                } else {
+                    to_fetch.push(FetchRequest {
+                        st,
+                        addr: cat.address(st)?,
+                    });
+                }
             }
         }
+        let (mounted, drives, random_access) = if to_fetch.is_empty() {
+            (Vec::new(), 1, false) // nothing goes to tape: leave the store alone
+        } else {
+            let store = h.store.lock();
+            let lib = store.library();
+            // Partial reads need the uncompressed on-media layout; they
+            // also bypass the whole-payload checksum, so under fault
+            // injection we fall back to full (verifiable) fetches.
+            let random_access =
+                !lib.profile().linear_seek && !h.config.compress && !store.faults_enabled();
+            (lib.mounted_media(), lib.drive_count(), random_access)
+        };
+        let cached = ordered.len();
+        let (order, policy) = if h.config.scheduling {
+            (schedule(&to_fetch, &mounted), "scheduled")
+        } else {
+            (to_fetch, "request-order")
+        };
+        self.note_schedule(&order, &mounted, drives, cached, policy);
+        ordered.extend(order.iter().map(|r| r.st));
+        for st in ordered {
+            let meta_st = h.catalog.read().meta(st)?.clone();
+            let needed = &pending[&st];
+            // On random-access media (MO jukeboxes) a sparse request reads
+            // only the member tiles, not the whole super-tile — the medium
+            // has no locate penalty to amortize (paper §2.2).
+            let needed_bytes: u64 = needed
+                .iter()
+                .filter_map(|t| meta_st.member(*t))
+                .map(|m| m.len)
+                .sum();
+            if random_access && !h.st_cache.contains(st) && needed_bytes * 2 < meta_st.total_len {
+                self.read_sparse(&meta_st, needed, needed_bytes, &mut out)?;
+                continue;
+            }
+            let payload = self.supertile_payload(st)?;
+            for &tid in needed {
+                let t = decode_member(&meta_st, &payload, tid)?;
+                h.note_patch_copy(&out, &t.data);
+                out.patch(&t.data)?;
+                h.tile_cache.put(t);
+            }
+        }
+        self.prefetch(oid, &pending)?;
         Ok(out)
     }
 
-    /// Stage a super-tile payload: striped-cache hit (charged to this
-    /// session's lane), else a tertiary fetch — batched across sessions,
-    /// or per-session FIFO when batching is off. Either path runs the
-    /// full recovery ladder (retry, failover, dual-copy) under faults.
+    /// The tile from DBMS disk, or `None` when it lives in an exported
+    /// super-tile.
+    fn disk_tile(&self, tid: TileId) -> Result<Option<Tile>> {
+        let mut adb = self.h.adb.lock();
+        Ok(match adb.tile_location(tid)? {
+            TileLocation::Disk => Some(adb.read_tile(tid)?),
+            TileLocation::Exported => None,
+        })
+    }
+
+    /// Emit the scheduler-decision event: how many super-tiles go to tape,
+    /// how many are already staged, and the media-exchange estimate for
+    /// the chosen order.
+    fn note_schedule(
+        &self,
+        order: &[FetchRequest],
+        mounted: &[heaven_tape::MediumId],
+        drives: usize,
+        cached: usize,
+        policy: &'static str,
+    ) {
+        let bus = &self.h.bus;
+        if !bus.is_enabled() || (order.is_empty() && cached == 0) {
+            return;
+        }
+        bus.event(
+            "heaven.schedule",
+            self.lane.now_s(),
+            &[
+                ("tape_fetches", order.len().into()),
+                ("cached", cached.into()),
+                ("policy", policy.into()),
+                (
+                    "exchanges_est",
+                    count_exchanges(order, drives, mounted).into(),
+                ),
+            ],
+        );
+    }
+
+    /// Read only the `needed` member tiles of a super-tile (random-access
+    /// media) and patch them into `out`.
+    fn read_sparse(
+        &self,
+        meta_st: &SuperTileMeta,
+        needed: &[TileId],
+        needed_bytes: u64,
+        out: &mut MDArray,
+    ) -> Result<()> {
+        let h = self.h;
+        let addr = h.catalog.read().address(meta_st.id)?;
+        let mut store = h.store.lock();
+        h.clock.advance_to_s(self.lane.now_s());
+        let t0 = h.clock.now_s();
+        let span = h.bus.span_start(
+            "heaven.st_fetch",
+            t0,
+            &[
+                ("st", meta_st.id.into()),
+                ("bytes", needed_bytes.into()),
+                ("medium", addr.medium.into()),
+                ("sparse", 1u64.into()),
+            ],
+        );
+        for &tid in needed {
+            let m = meta_st.member(tid).ok_or(HeavenError::TileUnlocated(tid))?;
+            let bytes = store.read_range(addr, m.offset, m.len)?;
+            h.metrics.st_tape_bytes.add(m.len);
+            let (t, _) = Tile::decode_shared(&bytes, 0).map_err(HeavenError::Array)?;
+            h.note_patch_copy(out, &t.data);
+            out.patch(&t.data)?;
+            h.tile_cache.put(t);
+        }
+        drop(store);
+        h.metrics.st_tape_fetches.inc();
+        h.metrics.st_fetch_bytes_hist.observe(needed_bytes as f64);
+        let t1 = h.clock.now_s();
+        h.metrics.st_fetch_hist.observe(t1 - t0);
+        h.bus.span_end(span, t1);
+        self.lane.advance_to_s(t1);
+        Ok(())
+    }
+
+    /// Stage a super-tile payload: a striped-cache hit (charged to this
+    /// session's lane), else a tertiary fetch — batched across sessions
+    /// for a shared session, staged directly otherwise. Either path runs
+    /// the full recovery ladder (retry, failover, dual-copy) under
+    /// faults. The returned handle aliases the cache entry.
     ///
     /// Tertiary fetches run inside a `heaven.st_fetch` span. On the
     /// batched path the span **links** to the shared `sched.batch` span
-    /// that staged the payload (the cross-session causal edge) and emits
-    /// a `sched.served` event carrying the queue/service decomposition,
-    /// so `heaven-prof critical-path` can attribute this session's wait
-    /// to the shared fetch.
-    fn supertile_payload(&self, st: SuperTileId) -> Result<Bytes> {
+    /// that staged the payload (the cross-session causal edge); a shared
+    /// session's fetch emits a `sched.served` event carrying the
+    /// queue/service decomposition, so `heaven-prof critical-path` can
+    /// attribute this session's wait to the fetch that served it.
+    pub(crate) fn supertile_payload(&self, st: SuperTileId) -> Result<Bytes> {
         if let Some(p) = self.h.st_cache.get_clocked(st, &self.lane) {
             return Ok(p);
         }
-        let (addr, replica, checksum) = {
-            let cat = self.h.catalog.read();
-            (cat.address(st)?, cat.replica(st), cat.checksum(st))
-        };
-        let batched = self.h.config.cross_session_batching;
+        let p = PendingFetch::locate(self.h, st)?;
+        let batched = !self.exclusive && self.h.config.cross_session_batching;
         let span = self.h.bus.span_start(
             "heaven.st_fetch",
             self.lane.now_s(),
-            &[("st", st.into()), ("batched", (batched as u64).into())],
+            &[
+                ("st", st.into()),
+                ("bytes", p.req.addr.len.into()),
+                ("medium", p.req.addr.medium.into()),
+                ("batched", (batched as u64).into()),
+            ],
         );
         let res = if batched {
-            self.batched_payload(st, addr, replica, checksum, span)
+            self.batched_payload(p, span)
         } else {
-            self.fifo_payload(st, addr, replica, checksum)
+            self.stage(&p).map(|(payload, start_s)| {
+                if !self.exclusive {
+                    // Direct staging has no queue: it is all service.
+                    let done_s = self.lane.now_s();
+                    self.h.metrics.queue_wait.observe(0.0);
+                    self.h.metrics.service.observe(done_s - start_s);
+                    self.note_served(st, 0.0, done_s - start_s, 0, false, done_s);
+                }
+                payload
+            })
         };
         self.h.bus.span_end(span, self.lane.now_s());
         res
     }
 
+    /// Direct staging — the one path besides the [`FetchBatcher`] that
+    /// moves a super-tile from tape into the disk cache: read it through
+    /// the recovery ladder, undo its wire codec, admit it. The tape is a
+    /// serial server: it starts no earlier than this session's lane, and
+    /// the lane re-joins the shared clock once the payload is cached.
+    /// Returns the payload and the shared-clock instant staging started.
+    fn stage(&self, p: &PendingFetch) -> Result<(Bytes, f64)> {
+        let h = self.h;
+        let addr = p.req.addr;
+        let mut store = h.store.lock();
+        h.clock.advance_to_s(self.lane.now_s());
+        let t0 = h.clock.now_s();
+        let raw = crate::recovery::read_with_recovery(
+            &mut store,
+            p.req.st,
+            addr,
+            p.replica,
+            p.checksum,
+            &h.config.retry,
+            &h.recovery,
+            &h.bus,
+        )?;
+        let payload = h.admit(p, raw, store.estimate_read_s(addr))?;
+        let t1 = h.clock.now_s();
+        h.metrics.st_fetch_hist.observe(t1 - t0);
+        self.lane.advance_to_s(t1);
+        Ok((payload, t0))
+    }
+
     /// The cross-session batched tertiary path (see `supertile_payload`).
-    fn batched_payload(
-        &self,
-        st: SuperTileId,
-        addr: BlockAddress,
-        replica: Option<BlockAddress>,
-        checksum: Option<u64>,
-        span: u64,
-    ) -> Result<Bytes> {
-        let p = PendingFetch {
-            req: FetchRequest { st, addr },
-            attempt: 0,
-            on_replica: false,
-            replica,
-            checksum,
-            enqueue_s: 0.0, // stamped at registration, under the lock
-            drains: 0,
-            stalled: false,
-        };
+    fn batched_payload(&self, p: PendingFetch, span: u64) -> Result<Bytes> {
+        let st = p.req.st;
         let (served, coalesced) = self.h.batcher.fetch(self.h, p)?;
         self.h.bus.link(
             "sched.link",
@@ -861,87 +831,174 @@ impl Session<'_> {
             served.batch_span,
             &[("st", st.into()), ("coalesced", (coalesced as u64).into())],
         );
-        self.h.bus.event(
-            "sched.served",
+        self.note_served(
+            st,
+            served.queue_s,
+            served.service_s,
+            served.batch_span,
+            coalesced,
             served.done_s,
-            &[
-                ("st", st.into()),
-                ("queue_s", served.queue_s.into()),
-                ("service_s", served.service_s.into()),
-                ("batch", served.batch_span.into()),
-                ("coalesced", (coalesced as u64).into()),
-            ],
         );
         self.lane.advance_to_s(served.done_s);
         Ok(served.payload)
     }
 
-    /// The per-session FIFO tertiary path: mount-and-read in request
-    /// order, holding the store for the whole access (the baseline the
-    /// batcher is measured against). Queue time is zero by construction;
-    /// the whole access is service time.
-    fn fifo_payload(
+    /// Emit the `sched.served` event of one tertiary fetch of a shared
+    /// session (`batch` 0: staged directly).
+    fn note_served(
         &self,
         st: SuperTileId,
-        addr: BlockAddress,
-        replica: Option<BlockAddress>,
-        checksum: Option<u64>,
-    ) -> Result<Bytes> {
-        let mut store = self.h.store.lock();
-        let t0 = store.clock().now_s();
-        let raw = read_with_recovery(
-            &mut store,
-            st,
-            addr,
-            replica,
-            checksum,
-            &self.h.config.retry,
-            &self.h.recovery,
-            &self.h.bus,
-        )?;
-        self.h.metrics.st_tape_fetches.inc();
-        self.h.metrics.st_tape_bytes.add(addr.len);
-        let refetch = store.estimate_read_s(addr);
-        let done_s = store.clock().now_s();
-        drop(store);
-        let payload = self.h.maybe_decompress(st, raw)?;
-        self.h.st_cache.put(st, payload.clone(), refetch);
-        let service_s = (done_s - t0).max(0.0);
-        self.h.metrics.queue_wait.observe(0.0);
-        self.h.metrics.service.observe(service_s);
+        queue_s: f64,
+        service_s: f64,
+        batch: u64,
+        coalesced: bool,
+        at_s: f64,
+    ) {
         self.h.bus.event(
             "sched.served",
-            done_s,
+            at_s,
             &[
                 ("st", st.into()),
-                ("queue_s", 0.0.into()),
+                ("queue_s", queue_s.into()),
                 ("service_s", service_s.into()),
-                ("batch", 0u64.into()),
-                ("coalesced", 0u64.into()),
+                ("batch", batch.into()),
+                ("coalesced", (coalesced as u64).into()),
             ],
         );
-        self.lane.advance_to_s(done_s);
-        Ok(payload)
+    }
+
+    /// Prefetch successor super-tiles in cluster order (paper §3.6).
+    /// Best-effort direct staging: a super-tile that can't be staged now
+    /// simply stays on tape for the demand path to recover.
+    fn prefetch(&self, oid: ObjectId, touched: &BTreeMap<SuperTileId, Vec<TileId>>) -> Result<()> {
+        let h = self.h;
+        let PrefetchPolicy::NextInOrder(n) = h.config.prefetch else {
+            return Ok(());
+        };
+        let Some(&max_touched) = touched.keys().next_back() else {
+            return Ok(());
+        };
+        let order = h.catalog.read().object_supertiles(oid);
+        let Some(pos) = order.iter().position(|&s| s == max_touched) else {
+            return Ok(());
+        };
+        for &st in order.iter().skip(pos + 1).take(n) {
+            if h.st_cache.contains(st) {
+                continue;
+            }
+            let p = PendingFetch::locate(h, st)?;
+            let bytes = p.req.addr.len;
+            h.bus.event(
+                "heaven.prefetch.issue",
+                self.lane.now_s(),
+                &[("st", st.into()), ("bytes", bytes.into())],
+            );
+            let Ok((_, start_s)) = self.stage(&p) else {
+                continue;
+            };
+            let done_s = self.lane.now_s();
+            let dt = done_s - start_s;
+            h.metrics.prefetches.inc();
+            h.metrics.prefetch_s.add(dt);
+            h.metrics.prefetch_bytes.add(bytes);
+            h.bus.event(
+                "heaven.prefetch.complete",
+                done_s,
+                &[
+                    ("st", st.into()),
+                    ("bytes", bytes.into()),
+                    ("dur_s", dt.into()),
+                ],
+            );
+        }
+        Ok(())
+    }
+
+    /// Stage every super-tile `requests` need in one scheduled sweep
+    /// (inter-query scheduling, paper §3.5.3).
+    pub(crate) fn stage_batch(&self, requests: &[(ObjectId, Minterval)]) -> Result<()> {
+        let h = self.h;
+        let mut needed: Vec<FetchRequest> = Vec::new();
+        {
+            let adb = h.adb.lock();
+            let cat = h.catalog.read();
+            for (oid, region) in requests {
+                let meta = adb.object(*oid)?;
+                let Some(target) = meta.domain.intersection(region) else {
+                    continue;
+                };
+                for tid in meta.tiles_intersecting(&target) {
+                    if adb.tile_location(tid)? == TileLocation::Exported {
+                        let st = cat.supertile_of(tid)?;
+                        if !h.st_cache.contains(st) {
+                            needed.push(FetchRequest {
+                                st,
+                                addr: cat.address(st)?,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let (mounted, drives) = {
+            let store = h.store.lock();
+            (
+                store.library().mounted_media(),
+                store.library().drive_count(),
+            )
+        };
+        let order = if h.config.scheduling {
+            schedule(&needed, &mounted)
+        } else {
+            let mut seen = std::collections::HashSet::new();
+            needed.into_iter().filter(|r| seen.insert(r.st)).collect()
+        };
+        self.note_schedule(&order, &mounted, drives, 0, "batch");
+        for r in order {
+            if !h.st_cache.contains(r.st) {
+                self.stage(&PendingFetch::locate(h, r.st)?)?;
+            }
+        }
+        Ok(())
     }
 }
 
 impl Drop for Session<'_> {
     fn drop(&mut self) {
         // Re-join the shared timeline: the epoch ends when the slowest
-        // overlapped lane ends.
+        // overlapped lane ends (a no-op for the exclusive session).
         self.h.clock.advance_to_s(self.lane.now_s());
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// rasql runs on a session like on [`Heaven`]: the same retrieval body,
+/// the same precomputed-result catalog.
+impl TileProvider for Session<'_> {
+    fn object_meta(&self, oid: ObjectId) -> heaven_arraydb::Result<ObjectMeta> {
+        Ok(self.h.adb.lock().object(oid)?.clone())
+    }
 
-    #[test]
-    fn concurrent_heaven_is_send_and_sync() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ConcurrentHeaven>();
-        assert_send_sync::<Session<'static>>();
-        assert_send_sync::<FetchBatcher>();
+    fn collection_objects(&self, name: &str) -> heaven_arraydb::Result<Vec<ObjectId>> {
+        Ok(self.h.adb.lock().collection(name)?.objects.clone())
+    }
+
+    fn fetch_region(
+        &mut self,
+        oid: ObjectId,
+        region: &Minterval,
+    ) -> heaven_arraydb::Result<MDArray> {
+        Session::fetch_region(self, oid, region).map_err(Into::into)
+    }
+
+    fn precomputed(&mut self, oid: ObjectId, op: Condenser, region: &Minterval) -> Option<f64> {
+        let tiles = self.h.adb.lock().object(oid).ok()?.tiles.clone();
+        self.h.precomp.write().lookup(oid, op, region, &tiles)
+    }
+
+    fn note_computed(&mut self, oid: ObjectId, op: Condenser, region: &Minterval, value: f64) {
+        self.h
+            .precomp
+            .write()
+            .record_exact(oid, op, region.clone(), value);
     }
 }

@@ -17,10 +17,10 @@ use crate::config::ClusteringStrategy;
 use crate::error::{HeavenError, Result};
 use crate::estar::estar_partition;
 use crate::star::{star_partition, TileInfo};
-use crate::supertile::{checksum64, encode_supertile, SuperTileMeta};
+use crate::supertile::{encode_supertile, SuperTileMeta};
 use crate::system::Heaven;
 use heaven_array::{ObjectId, Tile};
-use heaven_tape::{MediumId, WritePayload};
+use heaven_tape::MediumId;
 
 /// Which export path to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +60,7 @@ pub struct ExportReport {
 impl Heaven {
     /// Export an object's tiles to tertiary storage.
     pub fn export_object(&mut self, oid: ObjectId, mode: ExportMode) -> Result<ExportReport> {
-        if self.catalog.is_exported(oid) {
+        if self.catalog.get_mut().is_exported(oid) {
             return Err(HeavenError::AlreadyExported(oid));
         }
         match mode {
@@ -70,7 +70,7 @@ impl Heaven {
     }
 
     fn export_naive(&mut self, oid: ObjectId) -> Result<ExportReport> {
-        let meta = self.adb.object(oid)?.clone();
+        let meta = self.adb.get_mut().object(oid)?.clone();
         let clock = self.clock();
         let span = self.bus.span(
             "export.naive",
@@ -85,25 +85,16 @@ impl Heaven {
         let mut media = Vec::new();
         for (_, tid) in &meta.tiles {
             let t0 = clock.now_s();
-            let tile = self.adb.read_tile(*tid)?;
+            let tile = self.adb.get_mut().read_tile(*tid)?;
             let t1 = clock.now_s();
             let (payload, st_meta) = {
-                let st_id = self.catalog.next_id();
+                let st_id = self.catalog.get_mut().next_id();
                 encode_supertile(st_id, oid, std::slice::from_ref(&tile))
             };
             raw_bytes += payload.len() as u64;
-            let wire = self.maybe_compress(payload, meta.cell_type.size_bytes());
-            bytes += wire.len() as u64;
-            let checksum = checksum64(&wire);
-            let addr = self.store.append(WritePayload::Real(wire.clone()))?;
-            let replica = if self.config.dual_copy {
-                Some(
-                    self.store
-                        .append_replica(WritePayload::Real(wire), addr.medium)?,
-                )
-            } else {
-                None
-            };
+            let (addr, replica, checksum) =
+                self.write_supertile(payload, meta.cell_type.size_bytes())?;
+            bytes += addr.len;
             let t2 = clock.now_s();
             dbms_read_s += t1 - t0;
             tape_write_s += t2 - t1;
@@ -121,7 +112,7 @@ impl Heaven {
                 ],
             );
             self.register_supertile(st_meta, addr, replica, checksum)?;
-            self.adb.mark_exported(*tid)?;
+            self.adb.get_mut().mark_exported(*tid)?;
         }
         let elapsed = clock.now_s() - start;
         span.end(clock.now_s());
@@ -140,7 +131,7 @@ impl Heaven {
     }
 
     fn export_tct(&mut self, oid: ObjectId) -> Result<ExportReport> {
-        let meta = self.adb.object(oid)?.clone();
+        let meta = self.adb.get_mut().object(oid)?.clone();
         // Build tile infos with encoded sizes and grid coordinates.
         let (grid, grid_shape) = meta.tiling.tile_grid(&meta.domain, meta.cell_type)?;
         let infos: Vec<TileInfo> = meta
@@ -164,7 +155,7 @@ impl Heaven {
             }
         };
         if self.config.medium_per_object {
-            self.store.open_new_medium();
+            self.store.get_mut().open_new_medium();
         }
 
         let clock = self.clock();
@@ -197,11 +188,11 @@ impl Heaven {
                 }
             });
             for group in &partition {
-                let st_id = self.catalog.next_id();
+                let st_id = self.catalog.get_mut().next_id();
                 let t0 = clock.now_s();
                 let mut tiles = Vec::with_capacity(group.len());
                 for &gi in group {
-                    tiles.push(self.adb.read_tile(infos[gi].id)?);
+                    tiles.push(self.adb.get_mut().read_tile(infos[gi].id)?);
                 }
                 let t1 = clock.now_s();
                 self.record_precomp_tiles(oid, &tiles);
@@ -212,20 +203,9 @@ impl Heaven {
                     .recv()
                     .map_err(|_| HeavenError::Codec("TCT thread gone".into()))?;
                 raw_bytes += payload.len() as u64;
-                let wire = self.maybe_compress(payload, meta.cell_type.size_bytes());
-                bytes += wire.len() as u64;
-                let checksum = checksum64(&wire);
-                let addr = self.store.append(WritePayload::Real(wire.clone()))?;
-                // The second copy is deliberately kept off the primary's
-                // medium so one dead tape can't take both.
-                let replica = if self.config.dual_copy {
-                    Some(
-                        self.store
-                            .append_replica(WritePayload::Real(wire), addr.medium)?,
-                    )
-                } else {
-                    None
-                };
+                let (addr, replica, checksum) =
+                    self.write_supertile(payload, meta.cell_type.size_bytes())?;
+                bytes += addr.len;
                 let t2 = clock.now_s();
                 dbms_read_s += t1 - t0;
                 tape_write_s += t2 - t1;
@@ -244,7 +224,7 @@ impl Heaven {
                     ],
                 );
                 for m in &st_meta.members {
-                    self.adb.mark_exported(m.tile)?;
+                    self.adb.get_mut().mark_exported(m.tile)?;
                 }
                 self.register_supertile(st_meta, addr, replica, checksum)?;
             }
@@ -283,8 +263,13 @@ impl Heaven {
         for t in tiles {
             for &op in &ops {
                 if let Ok(v) = op.eval(&t.data) {
-                    self.precomp
-                        .record_tile_partial(oid, op, t.id, v, t.domain().cell_count());
+                    self.precomp.get_mut().record_tile_partial(
+                        oid,
+                        op,
+                        t.id,
+                        v,
+                        t.domain().cell_count(),
+                    );
                 }
             }
         }

@@ -43,7 +43,7 @@ pub mod system;
 
 pub use cache::{CacheStats, EvictionPolicy, SuperTileCache, TileCache};
 pub use catalog::SuperTileCatalog;
-pub use concurrent::{ConcurrentHeaven, Session};
+pub use concurrent::Session;
 pub use config::{ClusteringStrategy, HeavenConfig, PrefetchPolicy, RetryPolicy};
 pub use error::{HeavenError, Result};
 // Codec selection is configured through `HeavenConfig::codec`; re-export
@@ -60,4 +60,4 @@ pub use supertile::{
     checksum64, decode_all, decode_member, encode_supertile, MemberEntry, SuperTileId,
     SuperTileMeta,
 };
-pub use system::{Heaven, HeavenStats};
+pub use system::{ConcurrentHeaven, Heaven, HeavenStats};

@@ -21,7 +21,7 @@ impl Heaven {
 
     /// Dead fraction of a medium (`0.0` for an unused medium).
     pub fn dead_fraction(&self, medium: MediumId) -> f64 {
-        let used = self.store.library().medium_used(medium).unwrap_or(0);
+        let used = self.store.lock().library().medium_used(medium).unwrap_or(0);
         if used == 0 {
             0.0
         } else {
@@ -35,6 +35,7 @@ impl Heaven {
     pub fn delete_object(&mut self, oid: ObjectId) -> Result<()> {
         let tiles: Vec<u64> = self
             .adb
+            .get_mut()
             .object(oid)?
             .tiles
             .iter()
@@ -43,30 +44,30 @@ impl Heaven {
         for t in &tiles {
             self.tile_cache.invalidate(*t);
         }
-        for st in self.catalog.object_supertiles(oid) {
+        for st in self.catalog.get_mut().object_supertiles(oid) {
             self.st_cache.invalidate(st);
         }
         let freed = self.unregister_object(oid)?;
         for addr in freed {
             *self.dead_bytes.entry(addr.medium).or_insert(0) += addr.len;
         }
-        self.precomp.invalidate_object(oid);
-        self.adb.delete_object(oid)?;
+        self.precomp.get_mut().invalidate_object(oid);
+        self.adb.get_mut().delete_object(oid)?;
         Ok(())
     }
 
     /// Re-import an archived object: all its tiles return to secondary
     /// storage and its tertiary blocks become dead space.
     pub fn reimport_object(&mut self, oid: ObjectId) -> Result<()> {
-        let sts = self.catalog.object_supertiles(oid);
+        let sts = self.catalog.get_mut().object_supertiles(oid);
         if sts.is_empty() {
             return Err(HeavenError::NotExported(oid));
         }
         for st in sts {
             let payload = self.supertile_payload(st)?;
-            let meta = self.catalog.meta(st)?.clone();
+            let meta = self.catalog.get_mut().meta(st)?.clone();
             for tile in decode_all(&meta, &payload)? {
-                self.adb.restore_tile(&tile)?;
+                self.adb.get_mut().restore_tile(&tile)?;
             }
             self.st_cache.invalidate(st);
         }
@@ -83,7 +84,7 @@ impl Heaven {
     /// are patched directly. Precomputed results of the object are
     /// invalidated.
     pub fn update_region(&mut self, oid: ObjectId, patch: &MDArray) -> Result<()> {
-        let meta = self.adb.object(oid)?.clone();
+        let meta = self.adb.get_mut().object(oid)?.clone();
         if meta.cell_type != patch.cell_type() {
             return Err(HeavenError::Config(format!(
                 "update cell type {} does not match object {}",
@@ -96,21 +97,21 @@ impl Heaven {
         let mut by_st: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
         for tid in affected {
             self.tile_cache.invalidate(tid);
-            match self.adb.tile_location(tid)? {
+            match self.adb.get_mut().tile_location(tid)? {
                 heaven_arraydb::TileLocation::Disk => {
-                    let mut tile = self.adb.read_tile(tid)?;
+                    let mut tile = self.adb.get_mut().read_tile(tid)?;
                     tile.data.patch(patch)?;
-                    self.adb.restore_tile(&tile)?;
+                    self.adb.get_mut().restore_tile(&tile)?;
                 }
                 heaven_arraydb::TileLocation::Exported => {
-                    let st = self.catalog.supertile_of(tid)?;
+                    let st = self.catalog.get_mut().supertile_of(tid)?;
                     by_st.entry(st).or_default().push(tid);
                 }
             }
         }
         for (st, _) in by_st {
             let payload = self.supertile_payload(st)?;
-            let st_meta = self.catalog.meta(st)?.clone();
+            let st_meta = self.catalog.get_mut().meta(st)?.clone();
             let mut tiles = decode_all(&st_meta, &payload)?;
             for t in tiles.iter_mut() {
                 if t.domain().intersects(patch.domain()) {
@@ -118,25 +119,16 @@ impl Heaven {
                 }
             }
             // Write the new version under a fresh id.
-            let new_id = self.catalog.next_id();
+            let new_id = self.catalog.get_mut().next_id();
             let (new_payload, new_meta) = crate::supertile::encode_supertile(new_id, oid, &tiles);
-            let wire = self.maybe_compress(new_payload, meta.cell_type.size_bytes());
-            let checksum = crate::supertile::checksum64(&wire);
-            let addr = self.store.append(WritePayload::Real(wire.clone()))?;
-            let replica = if self.config.dual_copy {
-                Some(
-                    self.store
-                        .append_replica(WritePayload::Real(wire), addr.medium)?,
-                )
-            } else {
-                None
-            };
+            let (addr, replica, checksum) =
+                self.write_supertile(new_payload, meta.cell_type.size_bytes())?;
             let old_addr = self.unregister_supertile(st)?;
             *self.dead_bytes.entry(old_addr.medium).or_insert(0) += old_addr.len;
             self.st_cache.invalidate(st);
             self.register_supertile(new_meta, addr, replica, checksum)?;
         }
-        self.precomp.invalidate_object(oid);
+        self.precomp.get_mut().invalidate_object(oid);
         Ok(())
     }
 
@@ -151,23 +143,28 @@ impl Heaven {
     /// persisted tables are gone; a full archive scan costs real tape time
     /// (charged to the clock), exactly as it would in an installation.
     pub fn scavenge_catalog_from_media(&mut self) -> Result<usize> {
-        self.catalog = crate::catalog::SuperTileCatalog::new();
-        self.catalog_store.clear(self.adb.database_mut())?;
+        *self.catalog.get_mut() = crate::catalog::SuperTileCatalog::new();
+        self.catalog_store
+            .clear(self.adb.get_mut().database_mut())?;
         self.clear_caches();
-        let media = self.store.library().media_ids();
+        let media = self.store.get_mut().library().media_ids();
         let mut recovered = 0usize;
         let mut live_tiles: std::collections::HashMap<u64, crate::supertile::SuperTileId> =
             Default::default();
         for medium in media {
-            let segments = self.store.library().medium_segments(medium)?;
+            let segments = self.store.get_mut().library().medium_segments(medium)?;
             for (offset, len) in segments {
-                let raw = self.store.library_mut().read(medium, offset, len)?;
+                let raw = self
+                    .store
+                    .get_mut()
+                    .library_mut()
+                    .read(medium, offset, len)?;
                 let checksum = crate::supertile::checksum64(&raw);
                 let Some((payload, members, object)) = decode_scavenged(self.config.compress, raw)
                 else {
                     continue;
                 };
-                let st = self.catalog.next_id();
+                let st = self.catalog.get_mut().next_id();
                 let meta = SuperTileMeta {
                     id: st,
                     object,
@@ -183,6 +180,7 @@ impl Heaven {
                             // entirely if every member was superseded
                             let all_dead = self
                                 .catalog
+                                .get_mut()
                                 .meta(old_st)
                                 .map(|om| {
                                     om.members
@@ -212,8 +210,8 @@ impl Heaven {
         }
         // Tiles found on media are exported (drop any stale disk copies).
         for (&tile, _) in live_tiles.iter() {
-            if self.adb.tile_location(tile).is_ok() {
-                self.adb.mark_exported(tile)?;
+            if self.adb.get_mut().tile_location(tile).is_ok() {
+                self.adb.get_mut().mark_exported(tile)?;
             }
         }
         Ok(recovered)
@@ -227,16 +225,19 @@ impl Heaven {
         if self.dead_fraction(medium) < threshold {
             return Ok(0);
         }
-        let live = self.catalog.on_medium(medium);
+        let live = self.catalog.get_mut().on_medium(medium);
         // Read every live payload before erasing.
         let mut payloads = Vec::with_capacity(live.len());
         for &(st, addr) in &live {
-            let payload = self.store.read(addr)?;
+            let payload = self.store.get_mut().read(addr)?;
             payloads.push((st, payload));
         }
-        self.store.library_mut().erase_medium(medium)?;
+        self.store.get_mut().library_mut().erase_medium(medium)?;
         for (st, payload) in payloads {
-            let addr = self.store.write_to(medium, WritePayload::Real(payload))?;
+            let addr = self
+                .store
+                .get_mut()
+                .write_to(medium, WritePayload::Real(payload))?;
             self.relocate_supertile(st, addr)?;
         }
         self.dead_bytes.insert(medium, 0);
@@ -349,12 +350,12 @@ mod tests {
     #[test]
     fn legacy_untagged_rle_archive_still_decodes() {
         let (mut heaven, oid) = build(true, |_| 7.0);
-        let tiles = heaven.adb.object(oid).unwrap().tiles.clone();
+        let tiles = heaven.adb.get_mut().object(oid).unwrap().tiles.clone();
         let tile_objs: Vec<_> = tiles
             .iter()
-            .map(|&(_, t)| heaven.adb.read_tile(t).unwrap())
+            .map(|&(_, t)| heaven.adb.get_mut().read_tile(t).unwrap())
             .collect();
-        let st_id = heaven.catalog.next_id();
+        let st_id = heaven.catalog.get_mut().next_id();
         let (payload, meta) = encode_supertile(st_id, oid, &tile_objs);
         let wire = Bytes::from(heaven_array::codec::baseline::rle_compress(&payload));
         assert!(
@@ -367,12 +368,16 @@ mod tests {
             "legacy RLE of constant data must actually shrink"
         );
         let checksum = checksum64(&wire);
-        let addr = heaven.store.append(WritePayload::Real(wire)).unwrap();
+        let addr = heaven
+            .store
+            .get_mut()
+            .append(WritePayload::Real(wire))
+            .unwrap();
         heaven
             .register_supertile(meta, addr, None, checksum)
             .unwrap();
         for &(_, t) in &tiles {
-            heaven.adb.mark_exported(t).unwrap();
+            heaven.adb.get_mut().mark_exported(t).unwrap();
         }
         heaven.clear_caches();
         let back = heaven

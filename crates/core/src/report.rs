@@ -71,10 +71,10 @@ impl Heaven {
         collection: &str,
         mode: ExportMode,
     ) -> crate::error::Result<Vec<ExportReport>> {
-        let oids: Vec<ObjectId> = self.arraydb().collection(collection)?.objects.clone();
+        let oids: Vec<ObjectId> = self.adb.get_mut().collection(collection)?.objects.clone();
         let mut reports = Vec::with_capacity(oids.len());
         for oid in oids {
-            if self.catalog().is_exported(oid) {
+            if self.catalog.get_mut().is_exported(oid) {
                 continue;
             }
             reports.push(self.export_object(oid, mode)?);
@@ -84,29 +84,23 @@ impl Heaven {
 
     /// Build an archive status snapshot.
     pub fn archive_report(&self) -> ArchiveReport {
-        let mut exported = 0usize;
-        let mut resident = 0usize;
-        for oid in self.arraydb().object_ids() {
-            if self.catalog().is_exported(oid) {
-                exported += 1;
-            } else {
-                resident += 1;
-            }
-        }
-        let media = self
-            .store()
+        let catalog = self.catalog();
+        let oids = self.arraydb().object_ids();
+        let exported = oids.iter().filter(|&&o| catalog.is_exported(o)).count();
+        let lib = self.store();
+        let media = lib
             .library()
             .media_ids()
             .into_iter()
             .map(|m| {
-                let used = self.store().library().medium_used(m).unwrap_or(0);
+                let used = lib.library().medium_used(m).unwrap_or(0);
                 (m, used, self.dead_bytes_on(m))
             })
             .collect();
         ArchiveReport {
             exported_objects: exported,
-            resident_objects: resident,
-            supertiles: self.catalog().len(),
+            resident_objects: oids.len() - exported,
+            supertiles: catalog.len(),
             media,
             st_cache_hit_ratio: self.st_cache_stats().hit_ratio(),
             tile_cache_hit_ratio: self.tile_cache_stats().hit_ratio(),

@@ -6,27 +6,44 @@
 //! storage (DBMS tiles + super-tile cache) and tertiary storage
 //! (super-tiles on media) — no user interaction, regardless of where the
 //! data currently lives.
+//!
+//! `Heaven` is the one struct that owns the hierarchy. Query state sits
+//! behind interior synchronisation — the array DBMS and the tape store
+//! behind mutexes (the DBMS for its buffer pool, the store because the
+//! tape library is physically serial), the super-tile and
+//! precomputed-result catalogs behind reader/writer locks, both caches
+//! lock-striped — so `Heaven` is `Send + Sync` and serves any number of
+//! [`crate::Session`]s, which run the one retrieval body (see
+//! [`crate::concurrent`]). The single-owner entry points
+//! ([`Heaven::fetch_region_hierarchical`], [`Heaven::fetch_batch`], the
+//! [`TileProvider`] impl) run that body on an exclusive session and
+//! bracket each query into a [`QueryBreakdown`]. Archive operations
+//! (export, maintenance, catalog rebuild) take `&mut self` and reach the
+//! state through `get_mut`, which takes no lock.
 
 use crate::cache::{CacheStats, SuperTileCache, TileCache};
 use crate::catalog::SuperTileCatalog;
-use crate::config::{HeavenConfig, PrefetchPolicy};
+use crate::concurrent::FetchBatcher;
+use crate::config::HeavenConfig;
 use crate::error::{HeavenError, Result};
 use crate::persist::CatalogStore;
 use crate::precomp::PrecompCatalog;
-use crate::recovery::{read_with_recovery, RecoveryMetrics};
-use crate::scheduler::{count_exchanges, schedule, FetchRequest};
+use crate::recovery::RecoveryMetrics;
 use crate::sizing::optimal_supertile_size;
-use crate::supertile::{decode_member, SuperTileId};
+use crate::supertile::{checksum64, SuperTileId};
 use bytes::Bytes;
-use heaven_array::{Codec, Condenser, MDArray, Minterval, ObjectId, TileId};
-use heaven_arraydb::{ArrayDb, ObjectMeta, TileLocation, TileProvider};
-use heaven_hsm::DirectStore;
+use heaven_array::{Codec, Condenser, MDArray, Minterval, ObjectId};
+use heaven_arraydb::{ArrayDb, ObjectMeta, TileProvider};
+use heaven_hsm::{BlockAddress, DirectStore};
 use heaven_obs::{
     Counter, Field, FloatCounter, Histogram, MetricsRegistry, QueryBreakdown, SpanId, TraceBus,
 };
-use heaven_tape::{DiskProfile, MediumId, SimClock, TapeLibrary, TapeStats};
-use std::collections::{BTreeMap, HashMap};
+use heaven_tape::{DiskProfile, MediumId, SimClock, TapeLibrary, TapeStats, WritePayload};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::AtomicU64;
+use std::time::Duration;
 
 /// Counters of HEAVEN-level activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -66,17 +83,17 @@ impl fmt::Display for HeavenStats {
     }
 }
 
-/// Metric handles backing [`HeavenStats`]; the registry is the source of
-/// truth and the struct is reconstructed on demand.
+/// Metric handles of the retrieval path, `heaven.*` and `sched.*`;
+/// [`HeavenStats`] is a view over them.
 #[derive(Debug, Clone)]
-struct HeavenMetrics {
-    st_tape_fetches: Counter,
-    st_tape_bytes: Counter,
-    prefetches: Counter,
-    prefetch_s: FloatCounter,
-    prefetch_bytes: Counter,
-    region_fetches: Counter,
-    bytes_copied: Counter,
+pub(crate) struct HeavenMetrics {
+    pub(crate) st_tape_fetches: Counter,
+    pub(crate) st_tape_bytes: Counter,
+    pub(crate) prefetches: Counter,
+    pub(crate) prefetch_s: FloatCounter,
+    pub(crate) prefetch_bytes: Counter,
+    pub(crate) region_fetches: Counter,
+    pub(crate) bytes_copied: Counter,
     /// Wire bytes saved by super-tile compression (payload − wire, when
     /// the encoded form is smaller).
     codec_bytes_saved: Counter,
@@ -90,18 +107,37 @@ struct HeavenMetrics {
     /// delta (overlapping spans); their `other_s` was clamped to zero.
     breakdown_overattributed: Counter,
     /// End-to-end query latency distribution (simulated seconds).
-    query_latency: Histogram,
+    pub(crate) query_latency: Histogram,
     /// Tertiary super-tile fetch duration distribution (simulated s).
-    st_fetch_hist: Histogram,
+    pub(crate) st_fetch_hist: Histogram,
     /// Tertiary super-tile fetch size distribution (bytes).
-    st_fetch_bytes_hist: Histogram,
+    pub(crate) st_fetch_bytes_hist: Histogram,
+    /// Tape fetches saved because a session's request coalesced onto an
+    /// identical in-flight request of another session.
+    pub(crate) coalesced_fetches: Counter,
+    /// Cross-session staging batches drained.
+    pub(crate) batches: Counter,
+    /// Fetch requests staged through cross-session batches.
+    pub(crate) batched_fetches: Counter,
+    /// Batched fetches put back in the queue after a transient failure
+    /// (retry) or for their replica copy (failover).
+    pub(crate) requeued_fetches: Counter,
+    /// Queued fetches flagged by the stall watchdog (once per fetch; see
+    /// [`HeavenConfig::stall_window_mult`]).
+    pub(crate) stalls: Counter,
+    /// Per shared-session tertiary fetch: simulated seconds between
+    /// enqueueing and the start of the staging round that served it.
+    pub(crate) queue_wait: Histogram,
+    /// Per shared-session tertiary fetch: simulated seconds from staging
+    /// start to waiter notification.
+    pub(crate) service: Histogram,
 }
 
 impl HeavenMetrics {
     fn new(registry: &MetricsRegistry) -> HeavenMetrics {
         let query_latency = registry.histogram("heaven.query_latency_s");
-        // Pre-size the exemplar table so the per-query exemplar write in
-        // `end_query` stays allocation-free.
+        // Pre-size the exemplar table so the per-query exemplar write
+        // stays allocation-free.
         query_latency.reserve_exemplars();
         HeavenMetrics {
             st_tape_fetches: registry.counter("heaven.st_tape_fetches"),
@@ -119,6 +155,13 @@ impl HeavenMetrics {
             query_latency,
             st_fetch_hist: registry.histogram("heaven.st_fetch_hist_s"),
             st_fetch_bytes_hist: registry.histogram("heaven.st_fetch_bytes"),
+            coalesced_fetches: registry.counter("sched.coalesced_fetches"),
+            batches: registry.counter("sched.batches"),
+            batched_fetches: registry.counter("sched.batched_fetches"),
+            requeued_fetches: registry.counter("sched.requeued_fetches"),
+            stalls: registry.counter("sched.stalls"),
+            queue_wait: registry.histogram("sched.queue_wait_s"),
+            service: registry.histogram("sched.service_s"),
         }
     }
 
@@ -157,26 +200,35 @@ struct ActiveQuery {
     snap: LevelSnapshot,
 }
 
-/// The assembled HEAVEN system.
+/// The assembled HEAVEN system (see the module docs for its locking).
 #[derive(Debug)]
 pub struct Heaven {
-    pub(crate) adb: ArrayDb,
-    pub(crate) store: DirectStore,
-    pub(crate) catalog: SuperTileCatalog,
+    pub(crate) adb: Mutex<ArrayDb>,
+    pub(crate) store: Mutex<DirectStore>,
+    pub(crate) catalog: RwLock<SuperTileCatalog>,
+    pub(crate) precomp: RwLock<PrecompCatalog>,
     pub(crate) tile_cache: TileCache,
     pub(crate) st_cache: SuperTileCache,
-    pub(crate) precomp: PrecompCatalog,
     pub(crate) catalog_store: CatalogStore,
     pub(crate) config: HeavenConfig,
-    metrics: HeavenMetrics,
+    pub(crate) metrics: HeavenMetrics,
     pub(crate) recovery: RecoveryMetrics,
     pub(crate) registry: MetricsRegistry,
     pub(crate) bus: TraceBus,
+    /// The shared simulated clock (the tape library's).
+    pub(crate) clock: SimClock,
+    pub(crate) batcher: FetchBatcher,
+    /// Monotone session-id source; ids key trace records (`"session":N`)
+    /// and the profiler's per-session lanes.
+    pub(crate) next_session: AtomicU64,
     active_query: Option<ActiveQuery>,
     last_breakdown: Option<QueryBreakdown>,
     /// Dead (unreferenced) bytes per medium, from deletes/updates.
     pub(crate) dead_bytes: HashMap<MediumId, u64>,
 }
+
+/// The multi-session name of [`Heaven`], which is itself `Send + Sync`.
+pub type ConcurrentHeaven = Heaven;
 
 impl Heaven {
     /// Assemble HEAVEN from an array DBMS and a tape library.
@@ -191,7 +243,7 @@ impl Heaven {
         let mut st_cache = SuperTileCache::with_shards(
             config.disk_cache_bytes,
             config.eviction,
-            Some((DiskProfile::scsi2003(), clock)),
+            Some((DiskProfile::scsi2003(), clock.clone())),
             config.cache_shards,
         );
         st_cache.attach_obs(&registry, bus.clone());
@@ -205,45 +257,49 @@ impl Heaven {
         Heaven {
             tile_cache,
             st_cache,
-            adb,
-            store,
-            catalog: SuperTileCatalog::new(),
-            precomp: PrecompCatalog::new(),
+            adb: Mutex::new(adb),
+            store: Mutex::new(store),
+            catalog: RwLock::new(SuperTileCatalog::new()),
+            precomp: RwLock::new(PrecompCatalog::new()),
             catalog_store,
             config,
             metrics: HeavenMetrics::new(&registry),
             recovery: RecoveryMetrics::new(&registry),
             registry,
             bus,
+            clock,
+            batcher: FetchBatcher::new(Duration::from_millis(2)),
+            next_session: AtomicU64::new(1),
             active_query: None,
             last_breakdown: None,
             dead_bytes: HashMap::new(),
         }
     }
 
-    /// The array DBMS.
-    pub fn arraydb(&self) -> &ArrayDb {
-        &self.adb
+    /// The array DBMS (a lock guard: drop it before the next call that
+    /// touches the DBMS).
+    pub fn arraydb(&self) -> MutexGuard<'_, ArrayDb> {
+        self.adb.lock()
     }
 
-    /// The direct tertiary store (read-only view for reporting).
-    pub fn store(&self) -> &DirectStore {
-        &self.store
+    /// The direct tertiary store (a lock guard, for reporting).
+    pub fn store(&self) -> MutexGuard<'_, DirectStore> {
+        self.store.lock()
     }
 
     /// Mutable access to the array DBMS (inserts, collection management).
     pub fn arraydb_mut(&mut self) -> &mut ArrayDb {
-        &mut self.adb
+        self.adb.get_mut()
     }
 
     /// The shared simulated clock.
     pub fn clock(&self) -> SimClock {
-        self.store.clock()
+        self.clock.clone()
     }
 
     /// Tertiary-storage statistics.
     pub fn tape_stats(&self) -> TapeStats {
-        self.store.stats()
+        self.store.lock().stats()
     }
 
     /// HEAVEN-level statistics (a view over the metrics registry).
@@ -257,21 +313,23 @@ impl Heaven {
         &self.registry
     }
 
-    /// The trace bus (span/event stream keyed to simulated time).
+    /// The trace bus (span/event/link stream keyed to simulated time).
     pub fn trace(&self) -> &TraceBus {
         &self.bus
     }
 
-    /// The per-level breakdown of the most recently completed query.
+    /// The per-level breakdown of the most recently completed
+    /// single-owner query.
     pub fn last_query_breakdown(&self) -> Option<&QueryBreakdown> {
         self.last_breakdown.as_ref()
     }
 
-    fn snapshot(&self) -> LevelSnapshot {
+    fn snapshot(&mut self) -> LevelSnapshot {
+        let store = self.store.get_mut();
         LevelSnapshot {
-            tape: self.store.stats(),
-            shelf_s: self.store.library().shelf_wait_s(),
-            io_s: self.adb.database().io_stats().io_s,
+            tape: store.stats(),
+            shelf_s: store.library().shelf_wait_s(),
+            io_s: self.adb.get_mut().database().io_stats().io_s,
             st: self.st_cache.stats(),
             mem: self.tile_cache.stats(),
             heaven: self.stats(),
@@ -286,7 +344,7 @@ impl Heaven {
         if self.active_query.is_some() {
             return;
         }
-        let now = self.clock().now_s();
+        let now = self.clock.now_s();
         let span = self
             .bus
             .query_span_start("query", now, &[("label", Field::dyn_str(label))]);
@@ -304,7 +362,7 @@ impl Heaven {
     /// active.
     pub fn end_query(&mut self) -> Option<QueryBreakdown> {
         let q = self.active_query.take()?;
-        let now = self.clock().now_s();
+        let now = self.clock.now_s();
         self.bus.query_span_end(q.span, now);
         let cur = self.snapshot();
         let tape = cur.tape.since(&q.snap.tape);
@@ -369,14 +427,14 @@ impl Heaven {
         self.tile_cache.stats()
     }
 
-    /// The super-tile catalog (read-only).
-    pub fn catalog(&self) -> &SuperTileCatalog {
-        &self.catalog
+    /// The super-tile catalog (a read guard).
+    pub fn catalog(&self) -> RwLockReadGuard<'_, SuperTileCatalog> {
+        self.catalog.read()
     }
 
     /// The precomputed-result catalog statistics.
     pub fn precomp_stats(&self) -> crate::precomp::PrecompStats {
-        self.precomp.stats()
+        self.precomp.read().stats()
     }
 
     /// The active configuration.
@@ -388,50 +446,27 @@ impl Heaven {
     pub fn supertile_target(&self) -> u64 {
         self.config.supertile_bytes.unwrap_or_else(|| {
             optimal_supertile_size(
-                self.store.library().profile(),
+                self.store.lock().library().profile(),
                 self.config.expected_query_bytes,
             )
         })
     }
 
-    /// Convert this single-owner system into the multi-session concurrent
-    /// façade (see [`crate::concurrent::ConcurrentHeaven`]). Typical use:
-    /// build and export with `Heaven` (single-threaded), then convert and
-    /// serve queries from many session threads.
-    pub fn into_concurrent(self) -> crate::concurrent::ConcurrentHeaven {
-        crate::concurrent::ConcurrentHeaven::from_heaven(self)
+    /// The identity: `Heaven` itself serves concurrent sessions (see
+    /// [`Heaven::session`]).
+    pub fn into_concurrent(self) -> ConcurrentHeaven {
+        self
     }
 
-    /// Decompose into the pieces the concurrent façade wraps (the private
-    /// breakdown/bracket state is dropped — sessions track their own
-    /// timing on clock lanes).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_concurrent_parts(
-        self,
-    ) -> (
-        ArrayDb,
-        DirectStore,
-        SuperTileCatalog,
-        TileCache,
-        SuperTileCache,
-        HeavenConfig,
-        MetricsRegistry,
-        TraceBus,
-    ) {
-        (
-            self.adb,
-            self.store,
-            self.catalog,
-            self.tile_cache,
-            self.st_cache,
-            self.config,
-            self.registry,
-            self.bus,
-        )
+    /// The batching window: how long (host time) a drainer waits for peer
+    /// sessions to enqueue before staging the merged batch. Zero disables
+    /// the wait (requests still coalesce when they genuinely overlap).
+    pub fn set_batch_window(&mut self, window: Duration) {
+        self.batcher.window = window;
     }
 
     /// Clear both cache levels (between experiment runs).
-    pub fn clear_caches(&mut self) {
+    pub fn clear_caches(&self) {
         self.tile_cache.clear();
         self.st_cache.clear();
     }
@@ -439,22 +474,22 @@ impl Heaven {
     /// Enable the finite-slot + shelf model on the underlying library
     /// (see [`heaven_tape::SlotConfig`]).
     pub fn set_slot_config(&mut self, config: heaven_tape::SlotConfig) {
-        self.store.library_mut().set_slot_config(config);
+        self.store.get_mut().library_mut().set_slot_config(config);
     }
 
     /// Arm (or disarm, with `None`) deterministic fault injection on the
     /// underlying library (see [`heaven_tape::FaultConfig`]). Typically
     /// combined with [`HeavenConfig::dual_copy`] so injected failures are
     /// recoverable.
-    pub fn set_fault_plan(&mut self, config: Option<heaven_tape::FaultConfig>) {
-        self.store.library_mut().set_fault_plan(config);
+    pub fn set_fault_plan(&self, config: Option<heaven_tape::FaultConfig>) {
+        self.store.lock().library_mut().set_fault_plan(config);
     }
 
     /// Occupy every drive with scratch media, modelling other users of the
     /// shared library: the next archive access pays a full media exchange.
     /// Used by experiments to measure truly cold retrievals.
     pub fn occupy_drives(&mut self) -> Result<()> {
-        let lib = self.store.library_mut();
+        let lib = self.store.get_mut().library_mut();
         for _ in 0..lib.drive_count() {
             let scratch = lib.add_medium();
             lib.ensure_mounted(scratch)?;
@@ -464,64 +499,82 @@ impl Heaven {
 
     // -- catalog mutation (write-through to the base RDBMS) -------------------
 
+    /// Encode an outgoing super-tile payload and append it to tape, plus
+    /// a second copy under dual-copy archival — deliberately kept off the
+    /// primary's medium so one dead tape can't take both. Returns both
+    /// addresses and the wire checksum.
+    pub(crate) fn write_supertile(
+        &mut self,
+        payload: Bytes,
+        cell_size: usize,
+    ) -> Result<(BlockAddress, Option<BlockAddress>, u64)> {
+        let wire = self.maybe_compress(payload, cell_size);
+        let checksum = checksum64(&wire);
+        let store = self.store.get_mut();
+        let addr = store.append(WritePayload::Real(wire.clone()))?;
+        let replica = if self.config.dual_copy {
+            Some(store.append_replica(WritePayload::Real(wire), addr.medium)?)
+        } else {
+            None
+        };
+        Ok((addr, replica, checksum))
+    }
+
     /// Register an exported super-tile in the in-memory catalog *and* the
     /// persistent catalog tables, together with its optional second
     /// archive copy and wire-payload checksum.
     pub(crate) fn register_supertile(
         &mut self,
         meta: crate::supertile::SuperTileMeta,
-        addr: heaven_hsm::BlockAddress,
-        replica: Option<heaven_hsm::BlockAddress>,
+        addr: BlockAddress,
+        replica: Option<BlockAddress>,
         checksum: u64,
     ) -> Result<()> {
-        self.catalog_store
-            .insert(self.adb.database_mut(), &meta, addr, replica, checksum)?;
+        self.catalog_store.insert(
+            self.adb.get_mut().database_mut(),
+            &meta,
+            addr,
+            replica,
+            checksum,
+        )?;
         let st = meta.id;
-        self.catalog.register(meta, addr);
-        self.catalog.set_checksum(st, checksum);
+        self.catalog.get_mut().register(meta, addr);
+        self.catalog.get_mut().set_checksum(st, checksum);
         if let Some(r) = replica {
-            self.catalog.register_replica(st, r);
+            self.catalog.get_mut().register_replica(st, r);
         }
         Ok(())
     }
 
     /// Remove one super-tile everywhere; returns its old address.
-    pub(crate) fn unregister_supertile(
-        &mut self,
-        st: SuperTileId,
-    ) -> Result<heaven_hsm::BlockAddress> {
-        let addr = self.catalog.remove_supertile(st)?;
-        self.catalog_store.remove(self.adb.database_mut(), st)?;
+    pub(crate) fn unregister_supertile(&mut self, st: SuperTileId) -> Result<BlockAddress> {
+        let addr = self.catalog.get_mut().remove_supertile(st)?;
+        self.catalog_store
+            .remove(self.adb.get_mut().database_mut(), st)?;
         Ok(addr)
     }
 
     /// Remove an object's super-tiles everywhere; returns the freed
     /// addresses.
-    pub(crate) fn unregister_object(
-        &mut self,
-        oid: ObjectId,
-    ) -> Result<Vec<heaven_hsm::BlockAddress>> {
-        let sts = self.catalog.object_supertiles(oid);
+    pub(crate) fn unregister_object(&mut self, oid: ObjectId) -> Result<Vec<BlockAddress>> {
+        let sts = self.catalog.get_mut().object_supertiles(oid);
         for st in &sts {
-            self.catalog_store.remove(self.adb.database_mut(), *st)?;
+            self.catalog_store
+                .remove(self.adb.get_mut().database_mut(), *st)?;
         }
-        Ok(self.catalog.remove_object(oid))
+        Ok(self.catalog.get_mut().remove_object(oid))
     }
 
     /// Change a super-tile's address everywhere (compaction).
-    pub(crate) fn relocate_supertile(
-        &mut self,
-        st: SuperTileId,
-        addr: heaven_hsm::BlockAddress,
-    ) -> Result<()> {
-        self.catalog.relocate(st, addr)?;
-        let meta = self.catalog.meta(st)?.clone();
+    pub(crate) fn relocate_supertile(&mut self, st: SuperTileId, addr: BlockAddress) -> Result<()> {
+        self.catalog.get_mut().relocate(st, addr)?;
+        let meta = self.catalog.get_mut().meta(st)?.clone();
         // Compaction rewrites the identical payload, so the replica and
         // checksum carry over unchanged.
-        let replica = self.catalog.replica(st);
-        let checksum = self.catalog.checksum(st).unwrap_or(0);
+        let replica = self.catalog.get_mut().replica(st);
+        let checksum = self.catalog.get_mut().checksum(st).unwrap_or(0);
         self.catalog_store.update_addr(
-            self.adb.database_mut(),
+            self.adb.get_mut().database_mut(),
             st,
             &meta,
             addr,
@@ -535,7 +588,9 @@ impl Heaven {
     /// a server restart or RDBMS crash recovery. Dead space per medium is
     /// recomputed as (bytes used on medium) − (bytes of live super-tiles).
     pub fn rebuild_archive_catalog(&mut self) -> Result<()> {
-        let loaded = self.catalog_store.load_all(self.adb.database_mut())?;
+        let loaded = self
+            .catalog_store
+            .load_all(self.adb.get_mut().database_mut())?;
         let mut catalog = SuperTileCatalog::new();
         let mut max_id = 0;
         let mut live: HashMap<MediumId, u64> = HashMap::new();
@@ -552,10 +607,10 @@ impl Heaven {
         }
         catalog.bump_next_id(max_id);
         debug_assert_eq!(self.catalog_store.len(), catalog.len());
-        self.catalog = catalog;
+        *self.catalog.get_mut() = catalog;
         self.dead_bytes.clear();
-        for m in self.store.library().media_ids() {
-            let used = self.store.library().medium_used(m).unwrap_or(0);
+        for m in self.store.get_mut().library().media_ids() {
+            let used = self.store.get_mut().library().medium_used(m).unwrap_or(0);
             let l = live.get(&m).copied().unwrap_or(0);
             if used > l {
                 self.dead_bytes.insert(m, used - l);
@@ -565,11 +620,11 @@ impl Heaven {
         Ok(())
     }
 
-    // -- the retrieval path (paper §3.5.2) -----------------------------------
+    // -- the retrieval path (paper §3.5.2; the body is `Session`'s) --------
 
     /// Record the memcpy performed by patching `src` into `out` (the
     /// overlap region); feeds the `heaven.bytes_copied` metric.
-    fn note_patch_copy(&self, out: &MDArray, src: &MDArray) {
+    pub(crate) fn note_patch_copy(&self, out: &MDArray, src: &MDArray) {
         if let Some(ov) = out.domain().intersection(src.domain()) {
             self.metrics
                 .bytes_copied
@@ -602,7 +657,7 @@ impl Heaven {
         }
         self.bus.event(
             "heaven.codec_encode",
-            self.clock().now_s(),
+            self.clock.now_s(),
             &[
                 ("codec", codec.name().into()),
                 ("in_bytes", in_len.into()),
@@ -629,70 +684,28 @@ impl Heaven {
         Ok(out)
     }
 
-    /// Ensure a super-tile's payload is available *uncompressed*; returns
-    /// it. Charges either a disk-cache hit or a tape fetch. The returned
-    /// handle aliases the cache entry (and, on a cold fetch without
-    /// compression, the tape segment itself) — no payload copies.
-    pub(crate) fn supertile_payload(&mut self, st: SuperTileId) -> Result<Bytes> {
-        if let Some(p) = self.st_cache.get(st) {
-            return Ok(p);
-        }
-        let addr = self.catalog.address(st)?;
-        let total_len = self.catalog.meta(st)?.total_len;
-        let clock = self.clock();
-        let span = self.bus.span(
-            "heaven.st_fetch",
-            clock.now_s(),
-            &[
-                ("st", st.into()),
-                ("bytes", addr.len.into()),
-                ("medium", addr.medium.into()),
-            ],
-        );
-        let t0 = clock.now_s();
-        let replica = self.catalog.replica(st);
-        let checksum = self.catalog.checksum(st);
-        let result: Result<Bytes> = (|| {
-            let raw = read_with_recovery(
-                &mut self.store,
-                st,
-                addr,
-                replica,
-                checksum,
-                &self.config.retry,
-                &self.recovery,
-                &self.bus,
-            )?;
-            self.metrics.st_tape_fetches.inc();
-            self.metrics.st_tape_bytes.add(addr.len);
-            self.metrics.st_fetch_bytes_hist.observe(addr.len as f64);
-            let payload = self.maybe_decompress(raw, total_len)?;
-            let refetch = self.store.estimate_read_s(addr);
-            self.st_cache.put(st, payload.clone(), refetch);
-            Ok(payload)
-        })();
-        let t1 = clock.now_s();
-        self.metrics.st_fetch_hist.observe(t1 - t0);
-        span.end(t1);
-        result
+    /// A super-tile's uncompressed payload, staged if it is not cached.
+    pub(crate) fn supertile_payload(&self, st: SuperTileId) -> Result<Bytes> {
+        self.exclusive_session().supertile_payload(st)
     }
 
-    /// Fetch one tile through the hierarchy (memory → disk → tape).
-    pub fn fetch_tile(&mut self, tile: TileId) -> Result<heaven_array::Tile> {
-        if let Some(t) = self.tile_cache.get(tile) {
-            return Ok(t);
+    /// Run `f` as one query bracket labelled `label()`, unless a bracket
+    /// is already open (direct API calls still get a breakdown; calls
+    /// inside a rasql query join its bracket).
+    fn bracketed<R>(
+        &mut self,
+        label: impl FnOnce() -> String,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let auto_bracket = self.active_query.is_none();
+        if auto_bracket {
+            self.begin_query(&label());
         }
-        let t = match self.adb.tile_location(tile)? {
-            TileLocation::Disk => self.adb.read_tile(tile)?,
-            TileLocation::Exported => {
-                let st = self.catalog.supertile_of(tile)?;
-                let payload = self.supertile_payload(st)?;
-                let meta = self.catalog.meta(st)?;
-                decode_member(meta, &payload, tile)?
-            }
-        };
-        self.tile_cache.put(t.clone());
-        Ok(t)
+        let result = f(self);
+        if auto_bracket {
+            self.end_query();
+        }
+        result
     }
 
     /// The core retrieval routine: materialize `region` of `oid` across
@@ -703,176 +716,22 @@ impl Heaven {
         oid: ObjectId,
         region: &Minterval,
     ) -> Result<MDArray> {
-        // Direct API calls (no surrounding query) still get a breakdown:
-        // bracket this fetch as its own query.
-        let auto_bracket = self.active_query.is_none();
-        if auto_bracket {
-            self.begin_query(&format!("fetch_region oid={oid} {region}"));
-        }
-        let clock = self.clock();
-        let span = self.bus.span(
-            "heaven.fetch_region",
-            clock.now_s(),
-            &[
-                ("oid", oid.into()),
-                ("region", Field::dyn_str(&region.to_string())),
-            ],
-        );
-        let result = self.fetch_region_impl(oid, region);
-        span.end(clock.now_s());
-        if auto_bracket {
-            self.end_query();
-        }
-        result
-    }
-
-    /// Emit the scheduler-decision event: how many super-tiles go to tape,
-    /// how many are already staged, and the media-exchange estimate for
-    /// the chosen order.
-    fn note_schedule(
-        &self,
-        order: &[FetchRequest],
-        mounted: &[MediumId],
-        cached: usize,
-        policy: &'static str,
-    ) {
-        if !self.bus.is_enabled() || (order.is_empty() && cached == 0) {
-            return;
-        }
-        let drives = self.store.library().drive_count();
-        let est = count_exchanges(order, drives, mounted);
-        self.bus.event(
-            "heaven.schedule",
-            self.store.clock().now_s(),
-            &[
-                ("tape_fetches", order.len().into()),
-                ("cached", cached.into()),
-                ("policy", policy.into()),
-                ("exchanges_est", est.into()),
-            ],
-        );
-    }
-
-    fn fetch_region_impl(&mut self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
-        self.metrics.region_fetches.inc();
-        let meta = self.adb.object(oid)?.clone();
-        let target = meta.domain.intersection(region).ok_or_else(|| {
-            HeavenError::Config(format!(
-                "region {region} outside object domain {}",
-                meta.domain
-            ))
-        })?;
-        let mut out = MDArray::zeros(target.clone(), meta.cell_type);
-        // Classify needed tiles.
-        let mut pending: BTreeMap<SuperTileId, Vec<TileId>> = BTreeMap::new();
-        for tid in meta.tiles_intersecting(&target) {
-            if let Some(t) = self.tile_cache.get(tid) {
-                self.note_patch_copy(&out, &t.data);
-                out.patch(&t.data)?;
-                continue;
-            }
-            match self.adb.tile_location(tid)? {
-                TileLocation::Disk => {
-                    let t = self.adb.read_tile(tid)?;
-                    self.note_patch_copy(&out, &t.data);
-                    out.patch(&t.data)?;
-                    self.tile_cache.put(t);
-                }
-                TileLocation::Exported => {
-                    let st = self.catalog.supertile_of(tid)?;
-                    pending.entry(st).or_default().push(tid);
-                }
-            }
-        }
-        // Split cached super-tiles from ones needing tape.
-        let mut to_fetch = Vec::new();
-        let mut ordered: Vec<SuperTileId> = Vec::new();
-        for &st in pending.keys() {
-            if self.st_cache.contains(st) {
-                ordered.push(st);
-            } else {
-                to_fetch.push(FetchRequest {
-                    st,
-                    addr: self.catalog.address(st)?,
-                });
-            }
-        }
-        // Schedule the tape fetches.
-        let cached_sts = ordered.len();
-        if self.config.scheduling {
-            let mounted = self.store.library().mounted_media();
-            let scheduled = schedule(&to_fetch, &mounted);
-            self.note_schedule(&scheduled, &mounted, cached_sts, "scheduled");
-            ordered.extend(scheduled.iter().map(|r| r.st));
-        } else {
-            let mounted = self.store.library().mounted_media();
-            self.note_schedule(&to_fetch, &mounted, cached_sts, "request-order");
-            ordered.extend(to_fetch.iter().map(|r| r.st));
-        }
-        // Partial reads need the uncompressed on-media layout; they also
-        // bypass the whole-payload checksum, so under fault injection we
-        // fall back to full (verifiable) super-tile fetches.
-        let random_access = !self.store.library().profile().linear_seek
-            && !self.config.compress
-            && !self.store.faults_enabled();
-        for st in ordered {
-            let meta_st = self.catalog.meta(st)?.clone();
-            let needed = pending.get(&st).cloned().unwrap_or_default();
-            // On random-access media (MO jukeboxes) a sparse request reads
-            // only the member tiles, not the whole super-tile — the medium
-            // has no locate penalty to amortize (paper §2.2).
-            let needed_bytes: u64 = needed
-                .iter()
-                .filter_map(|t| meta_st.member(*t))
-                .map(|m| m.len)
-                .sum();
-            if random_access && !self.st_cache.contains(st) && needed_bytes * 2 < meta_st.total_len
-            {
-                let addr = self.catalog.address(st)?;
-                let clock = self.store.clock();
-                let sparse_t0 = clock.now_s();
-                let span = self.bus.span(
-                    "heaven.st_fetch",
-                    sparse_t0,
+        self.bracketed(
+            || format!("fetch_region oid={oid} {region}"),
+            |h| {
+                let span = h.bus.span_start(
+                    "heaven.fetch_region",
+                    h.clock.now_s(),
                     &[
-                        ("st", st.into()),
-                        ("bytes", needed_bytes.into()),
-                        ("medium", addr.medium.into()),
-                        ("sparse", 1u64.into()),
+                        ("oid", oid.into()),
+                        ("region", Field::dyn_str(&region.to_string())),
                     ],
                 );
-                for tid in needed {
-                    let m = meta_st
-                        .member(tid)
-                        .ok_or(HeavenError::TileUnlocated(tid))?
-                        .clone();
-                    let bytes = self.store.read_range(addr, m.offset, m.len)?;
-                    self.metrics.st_tape_bytes.add(m.len);
-                    let (t, _) =
-                        heaven_array::Tile::decode_shared(&bytes, 0).map_err(HeavenError::Array)?;
-                    self.note_patch_copy(&out, &t.data);
-                    out.patch(&t.data)?;
-                    self.tile_cache.put(t);
-                }
-                self.metrics.st_tape_fetches.inc();
-                self.metrics
-                    .st_fetch_bytes_hist
-                    .observe(needed_bytes as f64);
-                let sparse_t1 = clock.now_s();
-                self.metrics.st_fetch_hist.observe(sparse_t1 - sparse_t0);
-                span.end(sparse_t1);
-                continue;
-            }
-            let payload = self.supertile_payload(st)?;
-            for tid in needed {
-                let t = decode_member(&meta_st, &payload, tid)?;
-                self.note_patch_copy(&out, &t.data);
-                out.patch(&t.data)?;
-                self.tile_cache.put(t);
-            }
-        }
-        self.run_prefetch(oid, &pending)?;
-        Ok(out)
+                let result = h.exclusive_session().fetch_region_inner(oid, region);
+                h.bus.span_end(span, h.clock.now_s());
+                result
+            },
+        )
     }
 
     /// Execute a *batch* of region queries with inter-query scheduling
@@ -881,152 +740,29 @@ impl Heaven {
     /// staged through the cache hierarchy, and only then is each query's
     /// result assembled. Results are returned in request order.
     pub fn fetch_batch(&mut self, requests: &[(ObjectId, Minterval)]) -> Result<Vec<MDArray>> {
-        let auto_bracket = self.active_query.is_none();
-        if auto_bracket {
-            self.begin_query(&format!("batch of {} regions", requests.len()));
-        }
-        let result = self.fetch_batch_impl(requests);
-        if auto_bracket {
-            self.end_query();
-        }
-        result
-    }
-
-    fn fetch_batch_impl(&mut self, requests: &[(ObjectId, Minterval)]) -> Result<Vec<MDArray>> {
-        // Collect every exported super-tile any query needs.
-        let mut needed: Vec<FetchRequest> = Vec::new();
-        for (oid, region) in requests {
-            let meta = self.adb.object(*oid)?.clone();
-            let Some(target) = meta.domain.intersection(region) else {
-                continue;
-            };
-            for tid in meta.tiles_intersecting(&target) {
-                if self.adb.tile_location(tid)? == TileLocation::Exported {
-                    let st = self.catalog.supertile_of(tid)?;
-                    if !self.st_cache.contains(st) {
-                        needed.push(FetchRequest {
-                            st,
-                            addr: self.catalog.address(st)?,
-                        });
-                    }
-                }
-            }
-        }
-        // One scheduled sweep stages everything.
-        let order = if self.config.scheduling {
-            schedule(&needed, &self.store.library().mounted_media())
-        } else {
-            let mut seen = std::collections::HashSet::new();
-            needed.into_iter().filter(|r| seen.insert(r.st)).collect()
-        };
-        let mounted = self.store.library().mounted_media();
-        self.note_schedule(&order, &mounted, 0, "batch");
-        for r in order {
-            if self.st_cache.contains(r.st) {
-                continue;
-            }
-            let t0 = self.store.clock().now_s();
-            let replica = self.catalog.replica(r.st);
-            let checksum = self.catalog.checksum(r.st);
-            let payload = read_with_recovery(
-                &mut self.store,
-                r.st,
-                r.addr,
-                replica,
-                checksum,
-                &self.config.retry,
-                &self.recovery,
-                &self.bus,
-            )?;
-            self.metrics.st_tape_fetches.inc();
-            self.metrics.st_tape_bytes.add(r.addr.len);
-            self.metrics.st_fetch_bytes_hist.observe(r.addr.len as f64);
-            self.metrics
-                .st_fetch_hist
-                .observe(self.store.clock().now_s() - t0);
-            let refetch = self.store.estimate_read_s(r.addr);
-            self.st_cache.put(r.st, payload, refetch);
-        }
-        // Assemble each query (cache hits all the way).
-        requests
-            .iter()
-            .map(|(oid, region)| self.fetch_region_hierarchical(*oid, region))
-            .collect()
-    }
-
-    /// Prefetch successor super-tiles in cluster order (paper §3.6).
-    fn run_prefetch(
-        &mut self,
-        oid: ObjectId,
-        touched: &BTreeMap<SuperTileId, Vec<TileId>>,
-    ) -> Result<()> {
-        let PrefetchPolicy::NextInOrder(n) = self.config.prefetch else {
-            return Ok(());
-        };
-        let Some(&max_touched) = touched.keys().max() else {
-            return Ok(());
-        };
-        let order = self.catalog.object_supertiles(oid);
-        let Some(pos) = order.iter().position(|&s| s == max_touched) else {
-            return Ok(());
-        };
-        let clock = self.clock();
-        for &st in order.iter().skip(pos + 1).take(n) {
-            if self.st_cache.contains(st) {
-                continue;
-            }
-            let t0 = clock.now_s();
-            let addr = self.catalog.address(st)?;
-            self.bus.event(
-                "heaven.prefetch.issue",
-                t0,
-                &[("st", st.into()), ("bytes", addr.len.into())],
-            );
-            // Prefetch is best-effort: a super-tile that can't be staged
-            // now simply stays on tape for the demand path to recover.
-            let Ok(payload) = read_with_recovery(
-                &mut self.store,
-                st,
-                addr,
-                self.catalog.replica(st),
-                self.catalog.checksum(st),
-                &self.config.retry,
-                &self.recovery,
-                &self.bus,
-            ) else {
-                continue;
-            };
-            self.metrics.st_tape_fetches.inc();
-            self.metrics.st_tape_bytes.add(addr.len);
-            let refetch = self.store.estimate_read_s(addr);
-            self.st_cache.put(st, payload, refetch);
-            let dt = clock.now_s() - t0;
-            self.metrics.prefetches.inc();
-            self.metrics.prefetch_s.add(dt);
-            self.metrics.prefetch_bytes.add(addr.len);
-            self.metrics.st_fetch_bytes_hist.observe(addr.len as f64);
-            self.metrics.st_fetch_hist.observe(dt);
-            self.bus.event(
-                "heaven.prefetch.complete",
-                clock.now_s(),
-                &[
-                    ("st", st.into()),
-                    ("bytes", addr.len.into()),
-                    ("dur_s", dt.into()),
-                ],
-            );
-        }
-        Ok(())
+        self.bracketed(
+            || format!("batch of {} regions", requests.len()),
+            |h| {
+                h.exclusive_session().stage_batch(requests)?;
+                // Assemble each query (cache hits all the way).
+                requests
+                    .iter()
+                    .map(|(oid, region)| h.fetch_region_hierarchical(*oid, region))
+                    .collect()
+            },
+        )
     }
 }
 
+/// The single-owner provider: the exclusive session's, plus the
+/// per-query breakdown bracket.
 impl TileProvider for Heaven {
     fn object_meta(&self, oid: ObjectId) -> heaven_arraydb::Result<ObjectMeta> {
-        Ok(self.adb.object(oid)?.clone())
+        self.exclusive_session().object_meta(oid)
     }
 
     fn collection_objects(&self, name: &str) -> heaven_arraydb::Result<Vec<ObjectId>> {
-        Ok(self.adb.collection(name)?.objects.clone())
+        self.exclusive_session().collection_objects(name)
     }
 
     fn fetch_region(
@@ -1039,12 +775,12 @@ impl TileProvider for Heaven {
     }
 
     fn precomputed(&mut self, oid: ObjectId, op: Condenser, region: &Minterval) -> Option<f64> {
-        let tiles = self.adb.object(oid).ok()?.tiles.clone();
-        self.precomp.lookup(oid, op, region, &tiles)
+        self.exclusive_session().precomputed(oid, op, region)
     }
 
     fn note_computed(&mut self, oid: ObjectId, op: Condenser, region: &Minterval, value: f64) {
-        self.precomp.record_exact(oid, op, region.clone(), value);
+        self.exclusive_session()
+            .note_computed(oid, op, region, value);
     }
 
     fn query_begin(&mut self, label: &str) {

@@ -149,7 +149,7 @@ fn export_report_accounts_bytes_and_media() {
     let oids = [oid];
     let rep = heaven.export_object(oids[0], ExportMode::Tct).unwrap();
     // bytes = sum of encoded tile sizes
-    let meta = heaven.arraydb().object(oids[0]).unwrap();
+    let meta = heaven.arraydb().object(oids[0]).unwrap().clone();
     let expect: u64 = meta
         .tiles
         .iter()
@@ -176,11 +176,10 @@ fn medium_per_object_isolates_objects() {
     let mut media: Vec<u64> = oids
         .iter()
         .flat_map(|&oid| {
-            heaven
-                .catalog()
-                .object_supertiles(oid)
+            let cat = heaven.catalog();
+            cat.object_supertiles(oid)
                 .into_iter()
-                .map(|st| heaven.catalog().address(st).unwrap().medium)
+                .map(|st| cat.address(st).unwrap().medium)
                 .collect::<Vec<_>>()
         })
         .collect();
@@ -297,8 +296,7 @@ fn slot_limited_archive_pays_shelf_fetches() {
             .fetch_region_hierarchical(oid, &mi(&[(0, 9), (0, 9)]))
             .unwrap();
     }
-    let lib = heaven.store().library();
-    assert!(lib.shelf_fetches() >= 1);
+    assert!(heaven.store().library().shelf_fetches() >= 1);
     assert!(heaven.clock().now_s() - t0 >= 240.0);
 }
 

@@ -11,8 +11,7 @@ use std::time::Duration;
 use heaven_array::{CellType, MDArray, Minterval, Point, Tile, Tiling};
 use heaven_arraydb::ArrayDb;
 use heaven_core::{
-    ConcurrentHeaven, EvictionPolicy, ExportMode, Heaven, HeavenConfig, Session, SuperTileCache,
-    TileCache,
+    EvictionPolicy, ExportMode, Heaven, HeavenConfig, Session, SuperTileCache, TileCache,
 };
 use heaven_rdbms::Database;
 use heaven_tape::{DeviceProfile, DiskProfile, FaultConfig, SimClock, TapeLibrary};
@@ -91,7 +90,7 @@ fn build_dual(
 #[test]
 fn concurrent_facade_is_send_and_sync() {
     fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ConcurrentHeaven>();
+    assert_send_sync::<Heaven>();
     assert_send_sync::<Session<'static>>();
     assert_send_sync::<SuperTileCache>();
     assert_send_sync::<TileCache>();
@@ -158,37 +157,49 @@ fn sharded_tile_cache_stress_loses_no_updates() {
 
 #[test]
 fn single_session_matches_single_owner_byte_for_byte() {
-    let (mut owner, oids_a) = build_multi(2, 2, true);
-    let (concurrent, oids_b) = build_multi(2, 2, true);
-    assert_eq!(oids_a, oids_b, "identical builds");
-    let concurrent = concurrent.into_concurrent();
-    let session = concurrent.session();
-    let queries: Vec<(u64, Minterval)> = (0..8)
-        .map(|q| (oids_a[q % 2], tile_region((q as i64 * 5) % (GRID * GRID))))
-        .chain(oids_a.iter().map(|&o| {
-            (
-                o,
-                mi(&[(0, GRID * TILE_EDGE - 1), (0, GRID * TILE_EDGE - 1)]),
-            )
-        }))
-        .collect();
-    for (oid, region) in &queries {
-        let a = owner.fetch_region_hierarchical(*oid, region).unwrap();
-        let b = session.fetch_region(*oid, region).unwrap();
-        assert_eq!(a, b, "oid {oid} region {region}");
+    // Both staging paths: batched (the default) and direct. The facade
+    // and a lone session run one retrieval body, so they agree on bytes
+    // and tertiary work; a direct-staging session also on simulated
+    // latency (batched staging overlaps tape with the lane's cache reads).
+    for batching in [true, false] {
+        let (mut owner, oids_a) = build_multi(2, 2, batching);
+        let (concurrent, oids_b) = build_multi(2, 2, batching);
+        assert_eq!(oids_a, oids_b, "identical builds");
+        let session = concurrent.session();
+        let queries: Vec<(u64, Minterval)> = (0..8)
+            .map(|q| (oids_a[q % 2], tile_region((q as i64 * 5) % (GRID * GRID))))
+            .chain(oids_a.iter().map(|&o| {
+                (
+                    o,
+                    mi(&[(0, GRID * TILE_EDGE - 1), (0, GRID * TILE_EDGE - 1)]),
+                )
+            }))
+            .collect();
+        let fetches = |h: &Heaven| h.stats().st_tape_fetches;
+        for (oid, region) in &queries {
+            let (fa, fb, lane0) = (fetches(&owner), fetches(&concurrent), session.now_s());
+            let a = owner.fetch_region_hierarchical(*oid, region).unwrap();
+            let b = session.fetch_region(*oid, region).unwrap();
+            assert_eq!(a, b, "oid {oid} region {region}");
+            assert_eq!(fetches(&owner) - fa, fetches(&concurrent) - fb);
+            if !batching {
+                let total = owner.last_query_breakdown().unwrap().total_s;
+                let lane = session.now_s() - lane0;
+                assert!((total - lane).abs() < 1e-6, "{total} vs {lane}");
+            }
+        }
+        // Same tertiary work, not just the same answers.
+        assert_eq!(
+            owner.tape_stats().bytes_read,
+            concurrent.tape_stats().bytes_read
+        );
     }
-    // Same tertiary work, not just the same answers.
-    assert_eq!(
-        owner.tape_stats().bytes_read,
-        concurrent.tape_stats().bytes_read
-    );
 }
 
 #[test]
 fn duplicate_cross_session_requests_coalesce_into_one_fetch() {
-    let (heaven, oids) = build_multi(1, 2, true);
+    let (mut heaven, oids) = build_multi(1, 2, true);
     let mounts_before = heaven.tape_stats().mounts;
-    let mut heaven = heaven.into_concurrent();
     heaven.set_batch_window(Duration::from_millis(50));
     let heaven = heaven; // freeze: sessions only need &self
     let oid = oids[0];
@@ -235,9 +246,8 @@ fn duplicate_cross_session_requests_coalesce_into_one_fetch() {
 /// each touching its own super-tile. Returns media exchanges measured.
 fn run_cold_workload(batching: bool, window_ms: u64) -> u64 {
     let objects = 4usize;
-    let (heaven, oids) = build_multi(objects, 1, batching);
+    let (mut heaven, oids) = build_multi(objects, 1, batching);
     let mounts_before = heaven.tape_stats().mounts;
-    let mut heaven = heaven.into_concurrent();
     heaven.set_batch_window(Duration::from_millis(window_ms));
     let heaven = heaven;
     let workers = 4usize;
@@ -277,7 +287,6 @@ fn session_lanes_overlap_warm_queries_in_simulated_time() {
     // all the work vs 4 sessions doing a quarter each.
     let elapsed = |sessions: usize| -> f64 {
         let (heaven, oids) = build_multi(1, 2, true);
-        let heaven = heaven.into_concurrent();
         let oid = oids[0];
         // Stage everything (cold, shared clock), then measure warm.
         heaven
@@ -390,8 +399,7 @@ fn chaos_same_seed_is_deterministic_concurrent() {
     let workers = 8usize;
     let per_worker = ((GRID * GRID) / 4) as usize; // 4 tiles each
     let run = |plan: Option<FaultConfig>| -> (Vec<Vec<MDArray>>, Vec<u64>) {
-        let (h, oids) = build_dual(2, 2, true, true);
-        let mut h = h.into_concurrent();
+        let (mut h, oids) = build_dual(2, 2, true, true);
         h.set_batch_window(Duration::from_millis(25));
         h.set_fault_plan(plan);
         let h = h;
@@ -463,8 +471,7 @@ fn batcher_requeues_survive_drive_failures() {
     let workers = 8usize;
     let per_worker = ((GRID * GRID) / 4) as usize;
     let run = |plan: Option<FaultConfig>| -> (Vec<Vec<MDArray>>, Vec<u64>) {
-        let (h, oids) = build_dual(2, 2, true, true);
-        let mut h = h.into_concurrent();
+        let (mut h, oids) = build_dual(2, 2, true, true);
         h.set_batch_window(Duration::from_millis(25));
         h.set_fault_plan(plan);
         let h = h;

@@ -241,21 +241,12 @@ fn update_region_rewrites_affected_supertiles() {
         value_at(&Point::new(vec![15, 15]))
     );
     // dead space appeared on some medium
-    let total_dead: u64 = heaven
-        .arraydb()
-        .object(oid)
-        .map(|_| ())
-        .ok()
-        .map(|_| {
-            heaven
-                .catalog()
-                .object_supertiles(oid)
-                .iter()
-                .map(|&st| heaven.catalog().address(st).unwrap().medium)
-                .map(|m| heaven.dead_bytes_on(m))
-                .sum()
-        })
-        .unwrap_or(0);
+    let cat = heaven.catalog();
+    let total_dead: u64 = cat
+        .object_supertiles(oid)
+        .iter()
+        .map(|&st| heaven.dead_bytes_on(cat.address(st).unwrap().medium))
+        .sum();
     assert!(total_dead > 0);
 }
 
@@ -276,11 +267,8 @@ fn delete_object_leaves_dead_space_and_reclaim_compacts() {
         .unwrap();
     heaven.export_object(oid, ExportMode::Tct).unwrap();
     heaven.export_object(oid2, ExportMode::Tct).unwrap();
-    let medium = heaven
-        .catalog()
-        .address(heaven.catalog().object_supertiles(oid)[0])
-        .unwrap()
-        .medium;
+    let st = heaven.catalog().object_supertiles(oid)[0];
+    let medium = heaven.catalog().address(st).unwrap().medium;
 
     heaven.delete_object(oid).unwrap();
     assert!(heaven.dead_fraction(medium) > 0.0);
@@ -305,13 +293,12 @@ fn prefetched_supertile_serves_next_query_from_cache() {
     let (mut heaven, oid) = setup(config);
     heaven.export_object(oid, ExportMode::Tct).unwrap();
     heaven.clear_caches();
-    let sts = heaven.catalog().object_supertiles(oid);
-    let r0 = heaven.catalog().meta(sts[0]).unwrap().members[0]
-        .domain
-        .clone();
-    let r1 = heaven.catalog().meta(sts[1]).unwrap().members[0]
-        .domain
-        .clone();
+    let (r0, r1) = {
+        let cat = heaven.catalog();
+        let sts = cat.object_supertiles(oid);
+        let first = |st| cat.meta(st).unwrap().members[0].domain.clone();
+        (first(sts[0]), first(sts[1]))
+    };
     heaven.fetch_region_hierarchical(oid, &r0).unwrap();
     let foreground = |h: &Heaven| h.tape_stats().bytes_read - h.stats().prefetch_bytes;
     let fg_after_first = foreground(&heaven);

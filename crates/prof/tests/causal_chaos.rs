@@ -83,8 +83,7 @@ fn build() -> (Heaven, Vec<u64>) {
 
 #[test]
 fn eight_session_chaos_trace_attributes_every_query() {
-    let (heaven, oids) = build();
-    let mut heaven = heaven.into_concurrent();
+    let (mut heaven, oids) = build();
     heaven.set_batch_window(Duration::from_millis(50));
     // Drive-failure chaos: failed batched fetches requeue through the
     // retry/failover ladder, surviving extra drain passes — exactly what

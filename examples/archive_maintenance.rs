@@ -43,11 +43,8 @@ fn main() {
         heaven.export_object(oid, ExportMode::Tct).expect("export");
         oids.push(oid);
     }
-    let medium = heaven
-        .catalog()
-        .address(heaven.catalog().object_supertiles(oids[0])[0])
-        .expect("address")
-        .medium;
+    let st = heaven.catalog().object_supertiles(oids[0])[0];
+    let medium = heaven.catalog().address(st).expect("address").medium;
     println!("archived {} objects on medium {medium}", oids.len());
 
     // 1. In-place update: a corrected calibration patch over object 0.

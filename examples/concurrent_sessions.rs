@@ -1,13 +1,13 @@
 //! Multi-session query execution: N worker threads querying one archive
-//! concurrently through [`heaven::core::ConcurrentHeaven`].
+//! concurrently through shared [`heaven::core::Session`]s.
 //!
 //! ```sh
 //! cargo run --release --example concurrent_sessions -- --workers 8
 //! ```
 //!
-//! Builds a small climate archive (4 objects, one tape medium each),
-//! converts the system into its `Send + Sync` concurrent form, and deals
-//! a mixed query stream across `--workers` sessions. Each session charges
+//! Builds a small climate archive (4 objects, one tape medium each) and
+//! deals a mixed query stream across `--workers` sessions of the
+//! `Send + Sync` system. Each session charges
 //! its overlappable work (disk-cache reads) to a private simulated clock
 //! lane; cold super-tile fetches funnel through the cross-session batcher
 //! so sessions wanting the same medium share one mount, and duplicate
@@ -69,8 +69,7 @@ fn main() {
     }
     heaven.clear_caches();
 
-    // 2. Go concurrent: the façade is Send + Sync, sessions only need &self.
-    let mut heaven = heaven.into_concurrent();
+    // 2. Serve sessions: `Heaven` is Send + Sync, sessions only need &self.
     heaven.set_batch_window(Duration::from_millis(10));
     let heaven = heaven;
 

@@ -179,8 +179,9 @@ fn main() {
                 continue;
             }
             "\\collections" => {
-                for name in heaven.arraydb().collection_names() {
-                    let c = heaven.arraydb().collection(&name).unwrap();
+                let adb = heaven.arraydb();
+                for name in adb.collection_names() {
+                    let c = adb.collection(&name).unwrap();
                     println!(
                         "  {name}: {} {}-D objects of {}",
                         c.objects.len(),

@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> non-blank Rust lines per crate"
+scripts/loc.sh
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
