@@ -246,9 +246,14 @@ impl StShard {
                 }
             }
         };
+        // Equal scores go to the lowest super-tile id, not to HashMap
+        // order, so eviction is the same on every run.
         self.entries
             .iter()
-            .min_by(|(_, a), (_, b)| score(a).partial_cmp(&score(b)).expect("no NaN"))
+            .min_by(|(ia, a), (ib, b)| {
+                let by_score = score(a).partial_cmp(&score(b)).expect("no NaN");
+                by_score.then(ia.cmp(ib))
+            })
             .map(|(&id, _)| id)
     }
 }
@@ -762,6 +767,18 @@ mod tests {
         c.put(4, payload(100, 4), 60.0); // evicts 2
         assert!(c.contains(1));
         assert!(!c.contains(2));
+    }
+
+    #[test]
+    fn equal_scores_evict_the_lowest_supertile_id() {
+        for (first, second) in [(5, 9), (9, 5)] {
+            let c = cache(200, EvictionPolicy::CostAware);
+            c.put(first, payload(100, 1), 1.0);
+            c.put(second, payload(100, 2), 1.0);
+            c.put(20, payload(100, 3), 1.0); // evicts 5 (tie with 9)
+            assert!(!c.contains(5), "inserted {first} then {second}");
+            assert!(c.contains(9) && c.contains(20));
+        }
     }
 
     #[test]

@@ -23,17 +23,22 @@
 //!   [`crate::HeavenConfig::cross_session_batching`] off, shared sessions
 //!   stage directly (per-session FIFO, the baseline).
 //!
-//! **Direct staging** (`Session::stage`) treats the tape as a serial
-//! server: a request issued at lane time *t* starts no earlier than *t*,
-//! and the lane re-joins the shared clock once the payload is cached.
-//! Both are no-ops for the exclusive session, so a lone direct-staging
-//! session costs exactly what the single-owner facade costs.
+//! Two drivers move a super-tile from tape into the disk cache, both over
+//! the one recovery step of `crate::recovery` (retry the copy, fail
+//! over to the replica, or fail with a typed error):
 //!
-//! Under fault injection the batcher is also the recovery ladder: a
-//! transiently failed fetch is *requeued* (`sched.requeued_fetches`) with
-//! its coalesced waiters intact, a copy that exhausts its retries or
-//! fails its checksum fails over to the replica, and only when every
-//! copy is gone do the waiters get a typed [`HeavenError::MediaLost`].
+//! * **direct staging** (`Session::stage`) treats the tape as a serial
+//!   server: a request issued at lane time *t* starts no earlier than
+//!   *t*, re-reads wait out their backoff, and the lane re-joins the
+//!   shared clock once the payload is cached. The lane moves are no-ops
+//!   for the exclusive session, so a lone direct-staging session costs
+//!   exactly what the single-owner facade costs.
+//! * **batched staging** (`FetchBatcher::drain_all`) steps every result
+//!   of a drive-parallel round: a re-read is *requeued*
+//!   (`sched.requeued_fetches`) with its coalesced waiters intact and
+//!   staged by the next drain pass, which charges one backoff (the
+//!   largest owed); a typed error resolves every waiter.
+//!
 //! Tracing is causal across sessions: each waiter's `heaven.st_fetch`
 //! span *links* to the `sched.batch` span that staged it, a
 //! `sched.served` event splits its latency into queue vs service time,
@@ -43,59 +48,19 @@
 
 use crate::config::PrefetchPolicy;
 use crate::error::{HeavenError, Result};
+use crate::recovery::{PendingFetch, Step};
 use crate::scheduler::{count_exchanges, plan_drive_rounds, schedule, FetchRequest};
-use crate::supertile::{checksum64, decode_member, SuperTileId, SuperTileMeta};
+use crate::supertile::{decode_member, SuperTileId, SuperTileMeta};
 use crate::system::Heaven;
 use bytes::Bytes;
 use heaven_array::{Condenser, MDArray, Minterval, ObjectId, Tile, TileId};
 use heaven_arraydb::{ObjectMeta, TileLocation, TileProvider};
-use heaven_hsm::{BlockAddress, HsmError};
-use heaven_tape::{SimClock, TapeError};
+use heaven_hsm::BlockAddress;
+use heaven_tape::SimClock;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A queued tertiary fetch plus its recovery state: which attempt this
-/// is, whether it already failed over to the second copy, and the
-/// catalog's replica/checksum for that failover.
-#[derive(Debug, Clone, Copy)]
-struct PendingFetch {
-    req: FetchRequest,
-    attempt: u32,
-    on_replica: bool,
-    replica: Option<BlockAddress>,
-    checksum: Option<u64>,
-    /// Catalogued uncompressed payload length (undoes the wire codec).
-    total_len: u64,
-    /// Shared-clock instant the first waiter enqueued this super-tile
-    /// (survives requeues: queue time accumulates across the ladder).
-    enqueue_s: f64,
-    /// Drain passes this fetch has been seen by (each pass ≈ one batching
-    /// window) — the stall watchdog's deterministic time base.
-    drains: u32,
-    /// Already flagged by the stall watchdog (flag once per fetch).
-    stalled: bool,
-}
-
-/// Why a batched fetch ultimately failed (cloned to every coalesced
-/// waiter, then mapped to a [`HeavenError`]).
-#[derive(Debug, Clone)]
-enum FetchFailure {
-    /// Every archive copy was unreadable or corrupt.
-    MediaLost(SuperTileId),
-    /// A non-recoverable error (bad address, codec failure, ...).
-    Other(String),
-}
-
-impl FetchFailure {
-    fn into_error(self) -> HeavenError {
-        match self {
-            FetchFailure::MediaLost(st) => HeavenError::MediaLost { st },
-            FetchFailure::Other(m) => HeavenError::Config(format!("batched fetch failed: {m}")),
-        }
-    }
-}
 
 /// The shared outcome of a successful batched fetch, cloned to every
 /// coalesced waiter (the payload clone is a refcount bump). Besides the
@@ -121,8 +86,21 @@ struct Served {
 /// `done` is signalled exactly once, when the slot is filled.
 #[derive(Debug, Default)]
 struct Inflight {
-    slot: Mutex<Option<std::result::Result<Served, FetchFailure>>>,
+    slot: Mutex<Option<Result<Served>>>,
     done: Condvar,
+}
+
+/// A fetch in the batcher's queue: its place on the recovery ladder plus
+/// the batcher's own bookkeeping.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    p: PendingFetch,
+    /// Shared-clock instant the first waiter enqueued this super-tile
+    /// (survives requeues: queue time accumulates across the ladder).
+    enqueue_s: f64,
+    /// Drain passes this fetch has been seen by (each pass ≈ one batching
+    /// window) — the stall watchdog's deterministic time base.
+    drains: u32,
 }
 
 /// Arrival-ordered fetch queue plus a monotone arrival counter for the
@@ -130,7 +108,7 @@ struct Inflight {
 /// come from the drainer itself).
 #[derive(Debug, Default)]
 struct BatchQueue {
-    pending: Vec<PendingFetch>,
+    pending: Vec<Queued>,
     arrivals: u64,
 }
 
@@ -168,7 +146,7 @@ impl FetchBatcher {
     /// Fetch a super-tile through the shared batch: returns the shared
     /// [`Served`] outcome plus whether this waiter coalesced onto an
     /// already-queued request (vs. registering it).
-    fn fetch(&self, h: &Heaven, mut p: PendingFetch) -> Result<(Served, bool)> {
+    fn fetch(&self, h: &Heaven, p: PendingFetch) -> Result<(Served, bool)> {
         let (entry, coalesced) = {
             let mut map = self.inflight.lock();
             match map.get(&p.req.st) {
@@ -179,9 +157,12 @@ impl FetchBatcher {
                 None => {
                     let e = Arc::new(Inflight::default());
                     map.insert(p.req.st, Arc::clone(&e));
-                    p.enqueue_s = h.clock.now_s();
                     let mut q = self.queue.lock();
-                    q.pending.push(p);
+                    q.pending.push(Queued {
+                        p,
+                        enqueue_s: h.clock.now_s(),
+                        drains: 0,
+                    });
                     q.arrivals += 1;
                     self.arrived.notify_all();
                     (e, false)
@@ -190,9 +171,7 @@ impl FetchBatcher {
         };
         loop {
             if let Some(outcome) = entry.slot.lock().clone() {
-                return outcome
-                    .map(|served| (served, coalesced))
-                    .map_err(FetchFailure::into_error);
+                return outcome.map(|served| (served, coalesced));
             }
             match self.drain.try_lock() {
                 Some(_drainer) => {
@@ -248,56 +227,53 @@ impl FetchBatcher {
     }
 
     /// Stage every queued request in one scheduled sweep and resolve the
-    /// waiters. Transient failures requeue (with their coalesced waiters
-    /// intact — the inflight entry survives); failures resolve the
-    /// affected entries (nobody is left parked on a fetch that will never
-    /// complete).
+    /// waiters: the batched driver of the recovery step. A re-read
+    /// requeues (with its coalesced waiters intact — the inflight entry
+    /// survives); a typed error resolves the affected entry (nobody is
+    /// left parked on a fetch that will never complete).
     fn drain_all(&self, h: &Heaven) {
-        let mut reqs: Vec<PendingFetch> = std::mem::take(&mut self.queue.lock().pending);
+        let mut reqs: Vec<Queued> = std::mem::take(&mut self.queue.lock().pending);
         if reqs.is_empty() {
             return;
         }
         let mut store = h.store.lock();
         // Stall watchdog: each drain pass is one batching window; a fetch
         // still pending past `stall_window_mult` passes (it keeps
-        // requeueing through the retry/failover ladder) is flagged once.
-        // The count of passes is interleaving-independent, so seeded
-        // chaos runs flag identical stalls.
-        let stall_after = match h.config.stall_window_mult {
-            m if m > 0.0 => m.ceil() as u32,
+        // requeueing through the retry/failover ladder) is flagged once,
+        // on the first pass past them. The count of passes is
+        // interleaving-independent, so seeded chaos runs flag identical
+        // stalls.
+        let stall_at = match h.config.stall_window_mult {
+            m if m > 0.0 => (m.ceil() as u32).saturating_add(1),
             _ => u32::MAX,
         };
-        for p in reqs.iter_mut() {
-            p.drains += 1;
-            if p.drains > stall_after && !p.stalled {
-                p.stalled = true;
+        for q in reqs.iter_mut() {
+            q.drains += 1;
+            if q.drains == stall_at {
                 h.metrics.stalls.inc();
                 let now_s = store.clock().now_s();
                 h.bus.event(
                     "sched.stall",
                     now_s,
                     &[
-                        ("st", p.req.st.into()),
-                        ("medium", p.req.addr.medium.into()),
-                        ("drains", (p.drains as u64).into()),
-                        ("waited_s", (now_s - p.enqueue_s).max(0.0).into()),
-                        ("replica", (p.on_replica as u64).into()),
+                        ("st", q.p.req.st.into()),
+                        ("medium", q.p.req.addr.medium.into()),
+                        ("drains", (q.drains as u64).into()),
+                        ("waited_s", (now_s - q.enqueue_s).max(0.0).into()),
+                        ("replica", (q.p.on_replica as u64).into()),
                     ],
                 );
             }
         }
         // Retried requests owe their backoff before re-reading; the whole
         // batch backs off in parallel, so one charge (the largest) covers
-        // the drain.
-        let max_attempt = reqs.iter().map(|p| p.attempt).max().unwrap_or(0);
-        if max_attempt > 0 {
-            store
-                .clock()
-                .advance_s(h.config.retry.backoff_s(max_attempt));
-        }
-        let by_st: HashMap<SuperTileId, PendingFetch> =
-            reqs.iter().map(|p| (p.req.st, *p)).collect();
-        let plain: Vec<FetchRequest> = reqs.iter().map(|p| p.req).collect();
+        // the drain (none when every request is on attempt 0).
+        let max_attempt = reqs.iter().map(|q| q.p.attempt).max().unwrap_or(0);
+        store
+            .clock()
+            .advance_s(h.config.retry.backoff_s(max_attempt));
+        let by_st: HashMap<SuperTileId, Queued> = reqs.iter().map(|q| (q.p.req.st, *q)).collect();
+        let plain: Vec<FetchRequest> = reqs.iter().map(|q| q.p.req).collect();
         let mounted = store.library().mounted_media();
         let order = if h.config.scheduling {
             schedule(&plain, &mounted)
@@ -330,126 +306,59 @@ impl FetchBatcher {
                 .collect();
             let results = round.iter().flatten().zip(store.read_parallel(&addrs));
             let done_s = store.clock().now_s();
-            for (&r, res) in results {
-                let p = by_st[&r.st];
-                match res {
-                    Ok(raw) => {
-                        if let Some(sum) = p.checksum {
-                            if checksum64(&raw) != sum {
-                                // Persistent corruption on this copy: no
-                                // same-copy retry, straight to the replica.
-                                h.recovery.checksum_failures.inc();
-                                h.bus.event(
-                                    "hsm.checksum_failure",
-                                    done_s,
-                                    &[
-                                        ("st", r.st.into()),
-                                        ("medium", r.addr.medium.into()),
-                                        ("replica", (p.on_replica as u64).into()),
-                                    ],
-                                );
-                                self.fail_over(h, p);
-                                continue;
+            for (&r, read) in results {
+                let q = by_st[&r.st];
+                match q.p.step(read, done_s, &h.config.retry, &h.recovery, &h.bus) {
+                    Ok(Step::Staged(raw)) => {
+                        let refetch_s = store.estimate_read_s(r.addr);
+                        let served = h.admit(&q.p, raw, refetch_s).map(|payload| {
+                            // Decompose the fetch's latency: queue =
+                            // enqueue → this round's staging start
+                            // (backoffs and earlier passes included),
+                            // service = staging start → notify.
+                            let queue_s = (t0 - q.enqueue_s).max(0.0);
+                            let service_s = (done_s - t0).max(0.0);
+                            h.metrics.queue_wait.observe(queue_s);
+                            h.metrics.service.observe(service_s);
+                            h.metrics.st_fetch_hist.observe(service_s);
+                            Served {
+                                payload,
+                                done_s,
+                                queue_s,
+                                service_s,
+                                batch_span,
                             }
-                        }
-                        match h.admit(&p, raw, store.estimate_read_s(r.addr)) {
-                            Ok(payload) => {
-                                // Decompose the fetch's latency: queue =
-                                // enqueue → this round's staging start
-                                // (backoffs and earlier passes included),
-                                // service = staging start → notify.
-                                let queue_s = (t0 - p.enqueue_s).max(0.0);
-                                let service_s = (done_s - t0).max(0.0);
-                                h.metrics.queue_wait.observe(queue_s);
-                                h.metrics.service.observe(service_s);
-                                self.resolve(
-                                    r.st,
-                                    Ok(Served {
-                                        payload,
-                                        done_s,
-                                        queue_s,
-                                        service_s,
-                                        batch_span,
-                                    }),
-                                );
-                            }
-                            Err(e) => self.resolve(r.st, Err(FetchFailure::Other(e.to_string()))),
-                        }
+                        });
+                        self.resolve(r.st, served);
                     }
-                    Err(HsmError::Tape(te)) if te.is_transient() => {
-                        if matches!(te, TapeError::DriveFailed { .. }) {
-                            // The next drain's mount picks a healthy drive.
-                            h.recovery.failovers.inc();
-                        }
-                        if p.attempt < h.config.retry.max_retries {
-                            h.recovery.retries.inc();
-                            self.requeue(
-                                h,
-                                PendingFetch {
-                                    attempt: p.attempt + 1,
-                                    ..p
-                                },
-                            );
-                        } else {
-                            self.fail_over(h, p);
-                        }
-                    }
-                    Err(e) => self.resolve(r.st, Err(FetchFailure::Other(e.to_string()))),
+                    Ok(Step::Reread(p)) => self.requeue(h, Queued { p, ..q }),
+                    Err(e) => self.resolve(r.st, Err(e)),
                 }
             }
         }
         h.bus.span_end(batch_span, store.clock().now_s());
     }
 
-    /// Move a request to its second archive copy, or declare the
-    /// super-tile lost when there is none (or the replica failed too).
-    fn fail_over(&self, h: &Heaven, p: PendingFetch) {
-        if !p.on_replica {
-            if let Some(r) = p.replica {
-                self.requeue(
-                    h,
-                    PendingFetch {
-                        req: FetchRequest {
-                            st: p.req.st,
-                            addr: r,
-                        },
-                        attempt: 0,
-                        on_replica: true,
-                        ..p
-                    },
-                );
-                return;
-            }
-        }
-        h.recovery.media_lost.inc();
-        h.bus.event(
-            "hsm.media_lost",
-            h.clock.now_s(),
-            &[("st", p.req.st.into())],
-        );
-        self.resolve(p.req.st, Err(FetchFailure::MediaLost(p.req.st)));
-    }
-
     /// Put a request back in the queue for the next drain iteration. The
     /// inflight entry stays, so every coalesced waiter keeps waiting on
     /// the same slot — nobody is dropped or double-notified.
-    fn requeue(&self, h: &Heaven, p: PendingFetch) {
+    fn requeue(&self, h: &Heaven, q: Queued) {
         h.metrics.requeued_fetches.inc();
         h.bus.event(
             "sched.requeue",
             h.clock.now_s(),
             &[
-                ("st", p.req.st.into()),
-                ("attempt", (p.attempt as u64).into()),
-                ("replica", (p.on_replica as u64).into()),
+                ("st", q.p.req.st.into()),
+                ("attempt", (q.p.attempt as u64).into()),
+                ("replica", (q.p.on_replica as u64).into()),
             ],
         );
         // No arrivals bump: requeues come from the drainer itself and must
         // not re-arm the batching window's quiet period.
-        self.queue.lock().pending.push(p);
+        self.queue.lock().pending.push(q);
     }
 
-    fn resolve(&self, st: SuperTileId, outcome: std::result::Result<Served, FetchFailure>) {
+    fn resolve(&self, st: SuperTileId, outcome: Result<Served>) {
         let entry = self.inflight.lock().remove(&st);
         if let Some(e) = entry {
             let mut slot = e.slot.lock();
@@ -460,26 +369,21 @@ impl FetchBatcher {
     }
 }
 
-impl PendingFetch {
-    /// A first-attempt fetch of `st` on its primary copy, with what the
-    /// catalog knows for recovery and decoding.
-    fn locate(h: &Heaven, st: SuperTileId) -> Result<PendingFetch> {
-        let cat = h.catalog.read();
-        Ok(PendingFetch {
-            req: FetchRequest {
-                st,
-                addr: cat.address(st)?,
-            },
-            attempt: 0,
-            on_replica: false,
-            replica: cat.replica(st),
-            checksum: cat.checksum(st),
-            total_len: cat.meta(st)?.total_len,
-            enqueue_s: 0.0, // stamped at batcher registration, under the lock
-            drains: 0,
-            stalled: false,
-        })
-    }
+/// A first-attempt fetch of `st` on its primary copy, with what the
+/// catalog knows for recovery and decoding.
+fn locate(h: &Heaven, st: SuperTileId) -> Result<PendingFetch> {
+    let cat = h.catalog.read();
+    Ok(PendingFetch {
+        req: FetchRequest {
+            st,
+            addr: cat.address(st)?,
+        },
+        attempt: 0,
+        on_replica: false,
+        replica: cat.replica(st),
+        checksum: cat.checksum(st),
+        total_len: cat.meta(st)?.total_len,
+    })
 }
 
 impl Heaven {
@@ -761,7 +665,7 @@ impl Session<'_> {
         if let Some(p) = self.h.st_cache.get_clocked(st, &self.lane) {
             return Ok(p);
         }
-        let p = PendingFetch::locate(self.h, st)?;
+        let p = locate(self.h, st)?;
         let batched = !self.exclusive && self.h.config.cross_session_batching;
         let span = self.h.bus.span_start(
             "heaven.st_fetch",
@@ -799,21 +703,11 @@ impl Session<'_> {
     /// Returns the payload and the shared-clock instant staging started.
     fn stage(&self, p: &PendingFetch) -> Result<(Bytes, f64)> {
         let h = self.h;
-        let addr = p.req.addr;
         let mut store = h.store.lock();
         h.clock.advance_to_s(self.lane.now_s());
         let t0 = h.clock.now_s();
-        let raw = crate::recovery::read_with_recovery(
-            &mut store,
-            p.req.st,
-            addr,
-            p.replica,
-            p.checksum,
-            &h.config.retry,
-            &h.recovery,
-            &h.bus,
-        )?;
-        let payload = h.admit(p, raw, store.estimate_read_s(addr))?;
+        let raw = p.read_serial(&mut store, &h.config.retry, &h.recovery, &h.bus)?;
+        let payload = h.admit(p, raw, store.estimate_read_s(p.req.addr))?;
         let t1 = h.clock.now_s();
         h.metrics.st_fetch_hist.observe(t1 - t0);
         self.lane.advance_to_s(t1);
@@ -886,7 +780,7 @@ impl Session<'_> {
             if h.st_cache.contains(st) {
                 continue;
             }
-            let p = PendingFetch::locate(h, st)?;
+            let p = locate(h, st)?;
             let bytes = p.req.addr.len;
             h.bus.event(
                 "heaven.prefetch.issue",
@@ -956,7 +850,7 @@ impl Session<'_> {
         self.note_schedule(&order, &mounted, drives, 0, "batch");
         for r in order {
             if !h.st_cache.contains(r.st) {
-                self.stage(&PendingFetch::locate(h, r.st)?)?;
+                self.stage(&locate(h, r.st)?)?;
             }
         }
         Ok(())

@@ -72,7 +72,7 @@ impl Heaven {
     fn export_naive(&mut self, oid: ObjectId) -> Result<ExportReport> {
         let meta = self.adb.get_mut().object(oid)?.clone();
         let clock = self.clock();
-        let span = self.bus.span(
+        let span = self.bus.span_start(
             "export.naive",
             clock.now_s(),
             &[("oid", oid.into()), ("tiles", meta.tiles.len().into())],
@@ -115,7 +115,7 @@ impl Heaven {
             self.adb.get_mut().mark_exported(*tid)?;
         }
         let elapsed = clock.now_s() - start;
-        span.end(clock.now_s());
+        self.bus.span_end(span, clock.now_s());
         Ok(ExportReport {
             oid,
             mode: ExportMode::Naive,
@@ -159,7 +159,7 @@ impl Heaven {
         }
 
         let clock = self.clock();
-        let span = self.bus.span(
+        let span = self.bus.span_start(
             "export.tct",
             clock.now_s(),
             &[("oid", oid.into()), ("supertiles", partition.len().into())],
@@ -233,7 +233,7 @@ impl Heaven {
         });
         result?;
         let elapsed = clock.now_s() - start;
-        span.end(clock.now_s());
+        self.bus.span_end(span, clock.now_s());
         Ok(ExportReport {
             oid,
             mode: ExportMode::Tct,

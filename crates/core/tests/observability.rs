@@ -55,40 +55,53 @@ fn run_cold_and_warm(heaven: &mut Heaven, oid: u64) {
     heaven.end_query().unwrap();
 }
 
+fn metric(heaven: &Heaven, name: &str) -> Option<MetricValue> {
+    heaven
+        .metrics()
+        .snapshot()
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, v)| v)
+}
+
 #[test]
 fn hierarchy_histograms_fill_during_a_cold_query() {
-    let (mut heaven, oid) = setup();
-    run_cold_and_warm(&mut heaven, oid);
-    let snapshot = heaven.metrics().snapshot();
-    let find = |name: &str| {
-        snapshot
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.clone())
-    };
+    // The facade stages tape reads directly; a shared session with
+    // cross-session batching on stages them through the batcher.
+    let (mut facade, oid) = setup();
+    run_cold_and_warm(&mut facade, oid);
+    let (mut batched, oid) = setup();
+    batched.export_object(oid, ExportMode::Tct).unwrap();
+    batched.clear_caches();
+    batched
+        .session()
+        .fetch_region(oid, &mi(&[(0, 29), (0, 29)]))
+        .unwrap();
     // Every level of the hierarchy that a cold fetch crosses must have
-    // observed at least one duration.
-    for name in [
-        "heaven.query_latency_s",
-        "heaven.st_fetch_hist_s",
-        "heaven.st_fetch_bytes",
-        "tape.exchange_hist_s",
-        "tape.transfer_hist_s",
-        "rdbms.page_io_hist_s",
-    ] {
-        match find(name) {
-            Some(MetricValue::Histogram(h)) => {
-                assert!(h.count > 0, "{name} has no observations");
-                assert!(
-                    h.quantile(0.5) >= h.min && h.quantile(0.5) <= h.max,
-                    "{name}"
-                );
+    // observed at least one duration, whichever path staged it.
+    for (heaven, path) in [(&facade, "facade"), (&batched, "batching session")] {
+        for name in [
+            "heaven.query_latency_s",
+            "heaven.st_fetch_hist_s",
+            "heaven.st_fetch_bytes",
+            "tape.exchange_hist_s",
+            "tape.transfer_hist_s",
+            "rdbms.page_io_hist_s",
+        ] {
+            match metric(heaven, name) {
+                Some(MetricValue::Histogram(h)) => {
+                    assert!(h.count > 0, "{path}: {name} has no observations");
+                    assert!(
+                        h.quantile(0.5) >= h.min && h.quantile(0.5) <= h.max,
+                        "{path}: {name}"
+                    );
+                }
+                other => panic!("{path}: {name} missing or not a histogram: {other:?}"),
             }
-            other => panic!("{name} missing or not a histogram: {other:?}"),
         }
     }
     // Two bracketed queries → two latency observations.
-    match find("heaven.query_latency_s") {
+    match metric(&facade, "heaven.query_latency_s") {
         Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 2),
         _ => unreachable!(),
     }

@@ -114,7 +114,7 @@ impl HsmSystem {
         }
         let len = payload.len();
         let medium = self.pick_fill_medium(len)?;
-        let span = self.bus.span(
+        let span = self.bus.span_start(
             "hsm.archive",
             self.clock().now_s(),
             &[
@@ -127,7 +127,7 @@ impl HsmSystem {
         let offset = self.library.write(medium, payload)?;
         let t1 = self.clock().now_s();
         self.archive_hist.observe(t1 - t0);
-        span.end(t1);
+        self.bus.span_end(span, t1);
         self.catalog.insert(
             name,
             FileEntry {
@@ -207,7 +207,7 @@ impl HsmSystem {
             });
         }
         let t0 = self.clock().now_s();
-        let span = self.bus.span(
+        let span = self.bus.span_start(
             "hsm.stage",
             t0,
             &[
@@ -269,7 +269,7 @@ impl HsmSystem {
                     self.disk.remove(&victim);
                 }
                 None => {
-                    span.end(self.clock().now_s());
+                    self.bus.span_end(span, self.clock().now_s());
                     return Err(HsmError::StagingTooSmall {
                         need: entry.len,
                         capacity: self.disk.capacity(),
@@ -285,7 +285,7 @@ impl HsmSystem {
         self.stage_ops += 1;
         let t1 = self.clock().now_s();
         self.stage_hist.observe(t1 - t0);
-        span.end(t1);
+        self.bus.span_end(span, t1);
         Ok(())
     }
 

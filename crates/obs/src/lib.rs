@@ -39,6 +39,6 @@ pub use metrics::{
 };
 pub use sym::{Subsystem, Sym};
 pub use trace::{
-    check_well_nested, Field, RecordKind, SpanGuard, SpanId, TraceBus, TraceConfig, TraceLevel,
-    TraceRecord, TraceSink,
+    check_well_nested, Field, RecordKind, SpanId, TraceBus, TraceConfig, TraceLevel, TraceRecord,
+    TraceSink,
 };

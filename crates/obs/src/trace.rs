@@ -1278,20 +1278,6 @@ impl TraceBus {
         self.emit(RecordKind::Event, sym, sim_s, 0, parent, session, fields);
     }
 
-    /// RAII span helper: the span closes (at `end_sim_s` supplied then)
-    /// when [`SpanGuard::end`] is called.
-    pub fn span(
-        &self,
-        name: &'static str,
-        sim_s: f64,
-        fields: &[(&'static str, Field)],
-    ) -> SpanGuard {
-        SpanGuard {
-            bus: self.clone(),
-            id: self.span_start(name, sim_s, fields),
-        }
-    }
-
     /// Open a **bracketed query** span, applying head sampling: every
     /// n-th query records normally; the rest divert to a side buffer and
     /// are discarded at [`TraceBus::query_span_end`] unless slower than
@@ -1381,29 +1367,6 @@ impl TraceBus {
     /// Depth of the open-span stack on this thread (tests, diagnostics).
     pub fn open_spans(&self) -> usize {
         with_stack(self.inner.bus_id, |st| st.frames.len())
-    }
-}
-
-/// Handle returned by [`TraceBus::span`]; call [`SpanGuard::end`] with the
-/// closing simulated timestamp.
-#[must_use = "call .end(sim_now) to close the span"]
-pub struct SpanGuard {
-    bus: TraceBus,
-    id: SpanId,
-}
-
-impl SpanGuard {
-    pub fn id(&self) -> SpanId {
-        self.id
-    }
-
-    pub fn end(self, sim_s: f64) {
-        self.bus.span_end(self.id, sim_s);
-    }
-
-    /// Record an event inside this span.
-    pub fn event(&self, name: &'static str, sim_s: f64, fields: &[(&'static str, Field)]) {
-        self.bus.event(name, sim_s, fields);
     }
 }
 

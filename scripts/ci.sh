@@ -33,8 +33,28 @@ if grep -rn 'std::sync::Mutex\|RefCell' crates/core/src crates/hsm/src; then
   exit 1
 fi
 
+echo "==> recovery ladder stays in recovery.rs"
+# Both staging drivers (direct and batched) apply the one recovery step
+# in crates/core/src/recovery.rs; a transient-error or checksum decision
+# in the batcher would fork the ladder again.
+if grep -n 'is_transient\|checksum64(' crates/core/src/concurrent.rs; then
+  echo "recovery decision in concurrent.rs: use PendingFetch::step"
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
+
+echo "==> E8 eviction table is deterministic"
+# Cost-aware eviction breaks score ties by super-tile id; two runs of
+# exp_caching must print the same table.
+cachingdir="$(mktemp -d)"
+for run in 1 2; do
+  cargo run -q --release -p heaven-bench --bin exp_caching > "$cachingdir/$run.txt"
+done
+cmp "$cachingdir/1.txt" "$cachingdir/2.txt" \
+  || { echo "exp_caching output differs between two runs"; exit 1; }
+rm -rf "$cachingdir"
 
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run

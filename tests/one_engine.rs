@@ -1,12 +1,14 @@
 //! One retrieval engine: the single-owner facade and a lone session run
 //! the same body, so they must agree on bytes, simulated latency and
-//! tertiary work; every staging path undoes the wire codec; and rasql
-//! runs on sessions against the same precomputed-result catalog.
+//! tertiary work; every staging path undoes the wire codec and climbs
+//! the same recovery ladder; and rasql runs on sessions against the same
+//! precomputed-result catalog.
 
 use heaven::array::{CellType, MDArray, Minterval, ObjectId, Tiling};
 use heaven::arraydb::run;
-use heaven::core::{ExportMode, Heaven, HeavenConfig, PrefetchPolicy};
-use heaven::tape::DeviceProfile;
+use heaven::core::{ExportMode, Heaven, HeavenConfig, HeavenError, PrefetchPolicy};
+use heaven::hsm::HsmError;
+use heaven::tape::{DeviceProfile, TapeError};
 use heaven::workload::climate_field;
 
 fn mi(b: &[(i64, i64)]) -> Minterval {
@@ -78,6 +80,47 @@ fn compressed_prefetch_then_whole_object_returns_exact_bytes() {
     let whole = field.domain().clone();
     let got = heaven.fetch_region_hierarchical(oid, &whole).unwrap();
     assert_eq!(got, field);
+}
+
+/// An archive whose every medium has been erased after export.
+fn erased_archive(config: HeavenConfig) -> (Heaven, ObjectId) {
+    let (heaven, oid, _) = archive(DeviceProfile::ibm3590(), config);
+    let media = heaven.store().library().media_ids();
+    for m in media {
+        heaven.store().library_mut().erase_medium(m).unwrap();
+    }
+    (heaven, oid)
+}
+
+fn assert_read_unwritten<T: std::fmt::Debug>(res: heaven::core::Result<T>, what: &str) {
+    assert!(
+        matches!(
+            res,
+            Err(HeavenError::Hsm(HsmError::Tape(
+                TapeError::ReadUnwritten { .. }
+            )))
+        ),
+        "{what}: {res:?}"
+    );
+}
+
+#[test]
+fn every_staging_path_reports_an_erased_medium_as_the_same_typed_error() {
+    let region = mi(&[(0, 63), (0, 63)]);
+    let (mut heaven, oid) = erased_archive(HeavenConfig::default());
+    assert_read_unwritten(heaven.fetch_region_hierarchical(oid, &region), "facade");
+    assert_read_unwritten(
+        heaven.session().fetch_region(oid, &region),
+        "batching session",
+    );
+    let (direct, oid) = erased_archive(HeavenConfig {
+        cross_session_batching: false,
+        ..HeavenConfig::default()
+    });
+    assert_read_unwritten(
+        direct.session().fetch_region(oid, &region),
+        "direct session",
+    );
 }
 
 /// What one query cost: result, simulated microseconds, tape fetches.
