@@ -214,7 +214,8 @@ impl MDArray {
 
     /// Copy the overlap of `src` into `self` (both interpreted in the same
     /// global coordinate space). Non-overlapping parts are untouched.
-    pub fn patch(&mut self, src: &MDArray) -> Result<()> {
+    /// Returns the bytes copied (see [`copy_region`]; 0 when disjoint).
+    pub fn patch(&mut self, src: &MDArray) -> Result<u64> {
         if src.cell_type != self.cell_type {
             return Err(ArrayError::TypeMismatch {
                 left: self.cell_type.name(),
@@ -223,7 +224,7 @@ impl MDArray {
         }
         let overlap = match self.domain.intersection(src.domain()) {
             Some(o) => o,
-            None => return Ok(()),
+            None => return Ok(0),
         };
         copy_region(src, self, &overlap)
     }
@@ -245,57 +246,77 @@ impl MDArray {
 }
 
 /// Copy the cells of region `region` from `src` into `dst`; `region` must be
-/// contained in both domains. Copies are performed run-wise along the last
-/// axis for efficiency.
-pub fn copy_region(src: &MDArray, dst: &mut MDArray, region: &Minterval) -> Result<()> {
-    if !src.domain().contains(region) {
+/// contained in both domains and the cell types must match. Returns the
+/// bytes written into `dst`'s buffer: the region, plus the whole buffer
+/// when a shared `dst` first detaches its private copy.
+///
+/// A stride odometer: the per-axis byte strides and the region's start
+/// offset in both buffers are computed once per call. Trailing axes that
+/// the region spans in full in both arrays merge with the first partial
+/// axis into one contiguous run, so a whole-row, whole-plane or whole-tile
+/// overlap is a single `copy_from_slice`; the remaining outer axes are
+/// walked by adding and subtracting strides. The stride buffer is the
+/// call's only allocation (none when everything merges into one run), and
+/// no row allocates.
+pub fn copy_region(src: &MDArray, dst: &mut MDArray, region: &Minterval) -> Result<u64> {
+    if !src.domain.contains(region) {
         return Err(ArrayError::NotContained {
             inner: region.to_string(),
-            outer: src.domain().to_string(),
+            outer: src.domain.to_string(),
         });
     }
-    if !dst.domain().contains(region) {
+    if !dst.domain.contains(region) {
         return Err(ArrayError::NotContained {
             inner: region.to_string(),
-            outer: dst.domain().to_string(),
+            outer: dst.domain.to_string(),
         });
     }
-    if src.cell_type() != dst.cell_type() {
+    if src.cell_type != dst.cell_type {
         return Err(ArrayError::TypeMismatch {
-            left: src.cell_type().name(),
-            right: dst.cell_type().name(),
+            left: src.cell_type.name(),
+            right: dst.cell_type.name(),
         });
     }
-    let d = region.dim();
-    let cell_sz = src.cell_type().size_bytes();
-    if d == 0 {
-        return Ok(());
+    let (sdom, ddom) = (&src.domain, &dst.domain);
+    let full = |k: usize| region.axis(k) == sdom.axis(k) && region.axis(k) == ddom.axis(k);
+    // Axes `split..` form the contiguous run; axes `..split` the odometer.
+    let split = (0..region.dim()).rev().find(|&k| !full(k)).unwrap_or(0);
+    // Per odometer axis, innermost first: (extent, src stride, dst stride,
+    // index).
+    let mut outer: Vec<(usize, usize, usize, usize)> = Vec::with_capacity(split);
+    let cell = src.cell_type.size_bytes();
+    let (mut run, mut s_stride, mut d_stride) = (cell, cell, cell);
+    let (mut s_off, mut d_off) = (0, 0);
+    for k in (0..region.dim()).rev() {
+        let (r, s, d) = (region.axis(k), sdom.axis(k), ddom.axis(k));
+        s_off += (r.lo - s.lo) as usize * s_stride;
+        d_off += (r.lo - d.lo) as usize * d_stride;
+        if k >= split {
+            run *= r.extent() as usize;
+        } else {
+            outer.push((r.extent() as usize, s_stride, d_stride, 0));
+        }
+        s_stride *= s.extent() as usize;
+        d_stride *= d.extent() as usize;
     }
-    // Iterate over all "rows": fix all axes but the last, copy a contiguous run.
-    let last = d - 1;
-    let run_len = region.axis(last).extent() as usize * cell_sz;
-    let outer = if d == 1 {
-        None
-    } else {
-        Some(Minterval::from_intervals(region.axes()[..last].to_vec()))
-    };
-    let row_starts: Box<dyn Iterator<Item = Point>> = match &outer {
-        None => Box::new(std::iter::once(Point::new(vec![region.axis(0).lo]))),
-        Some(o) => Box::new(o.iter_points().map(move |mut p| {
-            p.0.push(region.axis(last).lo);
-            p
-        })),
-    };
-    let src_dom = src.domain().clone();
-    let dst_dom = dst.domain().clone();
-    let src_bytes = src.bytes();
-    let (dst_bytes, _) = dst.data.make_mut();
-    for start in row_starts {
-        let so = src_dom.offset_of(&start)? * cell_sz;
-        let doff = dst_dom.offset_of(&start)? * cell_sz;
-        dst_bytes[doff..doff + run_len].copy_from_slice(&src_bytes[so..so + run_len]);
+    let rows: usize = outer.iter().map(|a| a.0).product();
+    let src_bytes = src.data.as_slice();
+    let (dst_bytes, detached) = dst.data.make_mut();
+    for _ in 0..rows {
+        dst_bytes[d_off..d_off + run].copy_from_slice(&src_bytes[s_off..s_off + run]);
+        for (n, ss, ds, i) in outer.iter_mut() {
+            *i += 1;
+            s_off += *ss;
+            d_off += *ds;
+            if *i < *n {
+                break;
+            }
+            *i = 0;
+            s_off -= *n * *ss;
+            d_off -= *n * *ds;
+        }
     }
-    Ok(())
+    Ok(detached + (rows * run) as u64)
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! operations, and *condensers* (aggregations). HEAVEN's precomputed-result
 //! catalog (§3.9) memoizes condenser results.
 
-use crate::domain::{Minterval, Point};
+use crate::domain::{Interval, Minterval};
 use crate::error::{ArrayError, Result};
 use crate::mdd::MDArray;
-use crate::value::{with_scalar, CellType, CellValue, Scalar};
+use crate::value::{with_scalar, CellType, Scalar};
 
 /// Trim: restrict the array to a sub-box (dimensionality preserved).
 pub fn trim(a: &MDArray, region: &Minterval) -> Result<MDArray> {
@@ -19,32 +19,14 @@ pub fn trim(a: &MDArray, region: &Minterval) -> Result<MDArray> {
 /// dimensionality d-1.
 pub fn slice(a: &MDArray, dim: usize, pos: i64) -> Result<MDArray> {
     let dom = a.domain();
-    if dim >= dom.dim() {
+    if dim >= dom.dim() || !dom.axis(dim).contains(pos) {
         return Err(ArrayError::BadSlice { dim, pos });
     }
-    if !dom.axis(dim).contains(pos) {
-        return Err(ArrayError::BadSlice { dim, pos });
-    }
-    let out_dom = dom.project_out(dim)?;
-    let mut out = MDArray::zeros(out_dom.clone(), a.cell_type());
-    for (i, p) in out_dom.iter_points().enumerate() {
-        let mut full = p.0.clone();
-        full.insert(dim, pos);
-        let v = a.get(&Point::new(full))?;
-        v.write_at(&mut out, i)?;
-    }
-    Ok(out)
-}
-
-trait WriteAt {
-    fn write_at(self, arr: &mut MDArray, index: usize) -> Result<()>;
-}
-
-impl WriteAt for CellValue {
-    fn write_at(self, arr: &mut MDArray, index: usize) -> Result<()> {
-        let p = arr.domain().point_at(index as u64);
-        arr.set(&p, self.as_f64())
-    }
+    // The one-thick box at `pos` holds the slice's cells in row-major order.
+    let mut axes = dom.axes().to_vec();
+    axes[dim] = Interval { lo: pos, hi: pos };
+    let plane = a.extract(&Minterval::from_intervals(axes))?;
+    MDArray::from_bytes(dom.project_out(dim)?, a.cell_type(), plane.into_bytes())
 }
 
 /// A unary induced operation applied cell-wise.
@@ -384,7 +366,7 @@ pub fn scale_down(a: &MDArray, factors: &[u64]) -> Result<MDArray> {
         for (i, &f) in factors.iter().enumerate() {
             let lo = dom.axis(i).lo + op.coord(i) * f as i64;
             let hi = (lo + f as i64 - 1).min(dom.axis(i).hi);
-            axes.push(crate::domain::Interval::new(lo, hi)?);
+            axes.push(Interval::new(lo, hi)?);
         }
         let block = Minterval::from_intervals(axes);
         let mut acc = 0.0;

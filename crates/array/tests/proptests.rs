@@ -1,7 +1,8 @@
 //! Property-based tests of the array substrate's invariants.
 
+use bytes::Bytes;
 use heaven_array::{
-    subtract_box, CellType, Frame, Interval, LinearOrder, MDArray, Minterval, Point, Tile, Tiling,
+    subtract_box, CellType, Frame, LinearOrder, MDArray, Minterval, Point, Tile, Tiling,
 };
 use proptest::prelude::*;
 
@@ -16,6 +17,42 @@ fn minterval(dim: usize, max_extent: i64) -> impl Strategy<Value = Minterval> {
         )
         .expect("lo <= hi by construction")
     })
+}
+
+const CELL_TYPES: [CellType; 5] = [
+    CellType::U8,
+    CellType::I16,
+    CellType::I32,
+    CellType::F32,
+    CellType::F64,
+];
+
+/// Strategy: a src and a dst box of one dimensionality (1–4), with
+/// negative lower bounds, whose per-axis relation is drawn from:
+/// independent, identical (the axis is spanned in full by both, so trailing
+/// identical axes take the copy kernel's merged-run path), touching in one
+/// position (all axes touching: a one-cell overlap), or disjoint.
+fn box_pair() -> impl Strategy<Value = (Minterval, Minterval)> {
+    prop::collection::vec((-8i64..8, 1i64..6, -8i64..8, 1i64..6, 0u8..4), 1..=4).prop_map(|axes| {
+        let (mut src, mut dst) = (Vec::new(), Vec::new());
+        for (slo, sext, dlo, dext, relation) in axes {
+            let shi = slo + sext - 1;
+            src.push((slo, shi));
+            dst.push(match relation {
+                0 => (dlo, dlo + dext - 1),
+                1 => (slo, shi),
+                2 => (shi, shi + dext - 1),
+                _ => (shi + 1, shi + dext),
+            });
+        }
+        (Minterval::new(&src).unwrap(), Minterval::new(&dst).unwrap())
+    })
+}
+
+/// A cell value every cell type holds exactly, with the given parity.
+fn cell_value(p: &Point, parity: i64) -> f64 {
+    let h = p.0.iter().fold(7i64, |h, &c| h * 31 + c).rem_euclid(127);
+    (2 * h + parity) as f64
 }
 
 proptest! {
@@ -151,31 +188,47 @@ proptest! {
         prop_assert_eq!(used, enc.len());
         prop_assert_eq!(dec, tile);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn extract_patch_roundtrip(
-        outer in minterval(2, 20),
-        frac in 0.1f64..1.0,
+        boxes in box_pair(),
+        ty in 0usize..CELL_TYPES.len(),
     ) {
-        let arr = MDArray::generate(outer.clone(), CellType::F32, |p: &Point| {
-            (p.coord(0) * 31 + p.coord(1)) as f64
-        });
-        // an inner box scaled by frac
-        let inner = Minterval::from_intervals(
-            outer
-                .axes()
-                .iter()
-                .map(|a| {
-                    let ext = ((a.extent() as f64 * frac).ceil() as i64).max(1);
-                    Interval::new(a.lo, (a.lo + ext - 1).min(a.hi)).unwrap()
-                })
-                .collect(),
-        );
-        let piece = arr.extract(&inner).unwrap();
-        let mut rebuilt = MDArray::zeros(outer, CellType::F32);
-        rebuilt.patch(&piece).unwrap();
-        for p in inner.iter_points() {
-            prop_assert_eq!(rebuilt.get_f64(&p).unwrap(), arr.get_f64(&p).unwrap());
+        let ((src_dom, dst_dom), ty) = (boxes, CELL_TYPES[ty]);
+        // Odd cells in src, even in dst: a misplaced copy never matches.
+        let src = MDArray::generate(src_dom.clone(), ty, |p: &Point| cell_value(p, 1));
+        let before = MDArray::generate(dst_dom.clone(), ty, |p: &Point| cell_value(p, 0));
+        let overlap = src_dom.intersection(&dst_dom);
+        // The cell-wise reference: `set` every overlap cell to `get` of src.
+        let mut expect = before.clone();
+        for p in overlap.iter().flat_map(|o| o.iter_points()) {
+            expect.set(&p, src.get_f64(&p).unwrap()).unwrap();
+        }
+        let region_bytes = overlap.as_ref().map_or(0, |o| o.cell_count() * ty.size_bytes() as u64);
+        for shared in [false, true] {
+            let backing = Bytes::from(before.bytes().to_vec());
+            let mut dst = if shared {
+                MDArray::from_shared(dst_dom.clone(), ty, backing.clone()).unwrap()
+            } else {
+                before.clone()
+            };
+            let copied = dst.patch(&src).unwrap();
+            prop_assert_eq!(&dst, &expect);
+            prop_assert_eq!(&backing[..], before.bytes(), "shared backing untouched");
+            // A shared dst detaches (one whole-buffer copy) only to write.
+            let detached = if shared && region_bytes > 0 { before.size_bytes() } else { 0 };
+            prop_assert_eq!(copied, region_bytes + detached);
+        }
+        if let Some(o) = overlap {
+            let piece = src.extract(&o).unwrap();
+            prop_assert_eq!(piece.domain(), &o);
+            for p in o.iter_points() {
+                prop_assert_eq!(piece.get_f64(&p).unwrap(), src.get_f64(&p).unwrap());
+            }
         }
     }
 }

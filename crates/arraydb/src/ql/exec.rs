@@ -313,7 +313,7 @@ fn eval_select(
                 .ok_or_else(|| ArrayDbError::Semantic("frame selects nothing".into()))?;
             let mut out = MDArray::zeros(bbox, arr.cell_type());
             for b in frame.boxes() {
-                out.patch(&trim(&arr, b)?)?;
+                heaven_array::mdd::copy_region(&arr, &mut out, b)?;
             }
             Ok(Value::Array(out))
         }

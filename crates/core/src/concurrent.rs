@@ -486,14 +486,12 @@ impl Session<'_> {
         let mut pending: BTreeMap<SuperTileId, Vec<TileId>> = BTreeMap::new();
         for tid in meta.tiles_intersecting(&target) {
             if let Some(t) = h.tile_cache.get(tid) {
-                h.note_patch_copy(&out, &t.data);
-                out.patch(&t.data)?;
+                h.metrics.bytes_copied.add(out.patch(&t.data)?);
                 continue;
             }
             match self.disk_tile(tid)? {
                 Some(t) => {
-                    h.note_patch_copy(&out, &t.data);
-                    out.patch(&t.data)?;
+                    h.metrics.bytes_copied.add(out.patch(&t.data)?);
                     h.tile_cache.put(t);
                 }
                 None => {
@@ -557,8 +555,7 @@ impl Session<'_> {
             let payload = self.supertile_payload(st)?;
             for &tid in needed {
                 let t = decode_member(&meta_st, &payload, tid)?;
-                h.note_patch_copy(&out, &t.data);
-                out.patch(&t.data)?;
+                h.metrics.bytes_copied.add(out.patch(&t.data)?);
                 h.tile_cache.put(t);
             }
         }
@@ -635,8 +632,7 @@ impl Session<'_> {
             let bytes = store.read_range(addr, m.offset, m.len)?;
             h.metrics.st_tape_bytes.add(m.len);
             let (t, _) = Tile::decode_shared(&bytes, 0).map_err(HeavenError::Array)?;
-            h.note_patch_copy(out, &t.data);
-            out.patch(&t.data)?;
+            h.metrics.bytes_copied.add(out.patch(&t.data)?);
             h.tile_cache.put(t);
         }
         drop(store);

@@ -622,16 +622,6 @@ impl Heaven {
 
     // -- the retrieval path (paper §3.5.2; the body is `Session`'s) --------
 
-    /// Record the memcpy performed by patching `src` into `out` (the
-    /// overlap region); feeds the `heaven.bytes_copied` metric.
-    pub(crate) fn note_patch_copy(&self, out: &MDArray, src: &MDArray) {
-        if let Some(ov) = out.domain().intersection(src.domain()) {
-            self.metrics
-                .bytes_copied
-                .add(ov.cell_count() * out.cell_type().size_bytes() as u64);
-        }
-    }
-
     /// Encode an outgoing super-tile payload if configured: the adaptive
     /// codec probes a sample and picks raw / RLE / shuffle-RLE per
     /// payload. Incompressible payloads stay zero-copy (refcount clone);

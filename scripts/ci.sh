@@ -200,6 +200,7 @@ echo "==> ring-path allocation guarantee"
 # CI even if someone filters these files out of the workspace run.
 cargo test -q -p heaven-obs --test alloc_free
 cargo test -q --test trace_alloc
+cargo test -q --test patch_alloc
 
 echo "==> heaven-prof smoke test"
 tmpdir="$(mktemp -d)"
