@@ -8,6 +8,7 @@ use crate::error::{HeavenError, Result};
 use crate::supertile::{SuperTileId, SuperTileMeta};
 use heaven_array::{Minterval, ObjectId, TileId};
 use heaven_hsm::BlockAddress;
+use heaven_tape::MediumId;
 use std::collections::HashMap;
 
 /// Catalog of exported super-tiles.
@@ -185,16 +186,24 @@ impl SuperTileCatalog {
         self.supertiles.is_empty()
     }
 
-    /// All super-tiles on a medium with their addresses (for compaction).
-    pub fn on_medium(&self, medium: heaven_tape::MediumId) -> Vec<(SuperTileId, BlockAddress)> {
-        let mut v: Vec<(SuperTileId, BlockAddress)> = self
-            .supertiles
-            .iter()
-            .filter(|(_, (_, a))| a.medium == medium)
-            .map(|(&id, &(_, a))| (id, a))
+    /// Every archive copy on a medium — primaries and dual-copy replicas
+    /// — as `(super-tile, address, is_replica)`, in tape order (for
+    /// compaction).
+    pub fn copies_on(&self, medium: MediumId) -> Vec<(SuperTileId, BlockAddress, bool)> {
+        let primaries = self.supertiles.iter().map(|(&id, &(_, a))| (id, a, false));
+        let replicas = self.replicas.iter().map(|(&id, &a)| (id, a, true));
+        let mut v: Vec<_> = primaries
+            .chain(replicas)
+            .filter(|&(_, a, _)| a.medium == medium)
             .collect();
-        v.sort_by_key(|&(_, a)| a.offset);
+        v.sort_by_key(|&(_, a, _)| a.offset);
         v
+    }
+
+    /// Bytes of the live archive copies (primaries and replicas) on a
+    /// medium.
+    pub fn live_bytes_on(&self, medium: MediumId) -> u64 {
+        self.copies_on(medium).iter().map(|&(_, a, _)| a.len).sum()
     }
 }
 
@@ -292,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn on_medium_sorted_by_offset() {
+    fn copies_on_lists_primaries_and_replicas_by_offset() {
         let mut c = SuperTileCatalog::new();
         let a = c.next_id();
         let b = c.next_id();
@@ -300,11 +309,14 @@ mod tests {
         c.register(meta(a, 1, &[(1, mi(&[(0, 9)]))]), addr(0, 900));
         c.register(meta(b, 2, &[(2, mi(&[(0, 9)]))]), addr(0, 100));
         c.register(meta(x, 3, &[(3, mi(&[(0, 9)]))]), addr(1, 0));
-        let on0 = c.on_medium(0);
+        c.register_replica(x, addr(0, 500));
+        let on0 = c.copies_on(0);
         assert_eq!(
-            on0.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
-            vec![b, a]
+            on0.iter().map(|&(id, _, r)| (id, r)).collect::<Vec<_>>(),
+            vec![(b, false), (x, true), (a, false)]
         );
+        assert_eq!(c.live_bytes_on(0), 600);
+        assert_eq!(c.live_bytes_on(1), 200);
     }
 
     #[test]

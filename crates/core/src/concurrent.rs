@@ -101,6 +101,10 @@ struct Queued {
     /// Drain passes this fetch has been seen by (each pass ≈ one batching
     /// window) — the stall watchdog's deterministic time base.
     drains: u32,
+    /// Shared-clock instant of the first staging round that read this
+    /// fetch (`None` before it): `heaven.st_fetch_hist_s` observes from
+    /// here, so re-reads and backoffs count, as on the direct path.
+    first_start_s: Option<f64>,
 }
 
 /// Arrival-ordered fetch queue plus a monotone arrival counter for the
@@ -162,6 +166,7 @@ impl FetchBatcher {
                         p,
                         enqueue_s: h.clock.now_s(),
                         drains: 0,
+                        first_start_s: None,
                     });
                     q.arrivals += 1;
                     self.arrived.notify_all();
@@ -320,7 +325,9 @@ impl FetchBatcher {
                             let service_s = (done_s - t0).max(0.0);
                             h.metrics.queue_wait.observe(queue_s);
                             h.metrics.service.observe(service_s);
-                            h.metrics.st_fetch_hist.observe(service_s);
+                            h.metrics
+                                .st_fetch_hist
+                                .observe(done_s - q.first_start_s.unwrap_or(t0));
                             Served {
                                 payload,
                                 done_s,
@@ -331,7 +338,17 @@ impl FetchBatcher {
                         });
                         self.resolve(r.st, served);
                     }
-                    Ok(Step::Reread(p)) => self.requeue(h, Queued { p, ..q }),
+                    Ok(Step::Reread(p)) => {
+                        let first_start_s = q.first_start_s.or(Some(t0));
+                        self.requeue(
+                            h,
+                            Queued {
+                                p,
+                                first_start_s,
+                                ..q
+                            },
+                        )
+                    }
                     Err(e) => self.resolve(r.st, Err(e)),
                 }
             }
@@ -371,7 +388,7 @@ impl FetchBatcher {
 
 /// A first-attempt fetch of `st` on its primary copy, with what the
 /// catalog knows for recovery and decoding.
-fn locate(h: &Heaven, st: SuperTileId) -> Result<PendingFetch> {
+pub(crate) fn locate(h: &Heaven, st: SuperTileId) -> Result<PendingFetch> {
     let cat = h.catalog.read();
     Ok(PendingFetch {
         req: FetchRequest {
@@ -451,9 +468,9 @@ impl Session<'_> {
     /// Opens a root `query` span stamped with this session's id, and
     /// observes `heaven.query_latency_s` with the span as the histogram
     /// exemplar — so a slow Prometheus bucket names the concrete trace
-    /// to chase. (Plain `span_start`, not the sampling bracket: head
-    /// sampling's divert flag is bus-global and concurrent sessions
-    /// would race it.)
+    /// to chase. The root span is a head-sampling unit like the
+    /// facade's query bracket: a sampled-out query's records are held
+    /// back on this thread and kept only if it was slow.
     pub fn fetch_region(&self, oid: ObjectId, region: &Minterval) -> Result<MDArray> {
         let bus = &self.h.bus;
         bus.set_session(self.id);

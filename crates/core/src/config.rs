@@ -98,7 +98,7 @@ pub struct HeavenConfig {
     /// payloads through raw (zero-copy).
     pub codec: CodecPolicy,
     /// Tracing sink for the observability bus (spans and events keyed to
-    /// simulated time), plus sampling and per-subsystem level knobs. The
+    /// simulated time), plus head-sampling and slow-query knobs. The
     /// default ([`TraceConfig::off`]) costs one atomic load per
     /// instrumentation site.
     pub trace: TraceConfig,

@@ -2,10 +2,12 @@
 //! reclamation (paper §3.6).
 //!
 //! Tapes are append-only: deleting or updating archived data leaves *dead
-//! space* behind. HEAVEN tracks dead bytes per medium and compacts a
-//! medium (rewriting only its live super-tiles) once the dead fraction
-//! crosses a threshold.
+//! space* behind. A medium's dead bytes are what it holds minus the live
+//! archive copies (primaries and dual-copy replicas) the catalog places
+//! on it; HEAVEN compacts a medium (rewriting only its live copies) once
+//! the dead fraction crosses a threshold.
 
+use crate::concurrent::locate;
 use crate::error::{HeavenError, Result};
 use crate::supertile::{decode_all, MemberEntry, SuperTileMeta};
 use crate::system::Heaven;
@@ -14,9 +16,11 @@ use heaven_array::{MDArray, ObjectId};
 use heaven_tape::{MediumId, WritePayload};
 
 impl Heaven {
-    /// Dead bytes currently recorded for a medium.
+    /// Dead bytes on a medium: the bytes written to it minus the live
+    /// archive copies (primaries and replicas) the catalog places on it.
     pub fn dead_bytes_on(&self, medium: MediumId) -> u64 {
-        self.dead_bytes.get(&medium).copied().unwrap_or(0)
+        let used = self.store.lock().library().medium_used(medium).unwrap_or(0);
+        used.saturating_sub(self.catalog.read().live_bytes_on(medium))
     }
 
     /// Dead fraction of a medium (`0.0` for an unused medium).
@@ -47,10 +51,7 @@ impl Heaven {
         for st in self.catalog.get_mut().object_supertiles(oid) {
             self.st_cache.invalidate(st);
         }
-        let freed = self.unregister_object(oid)?;
-        for addr in freed {
-            *self.dead_bytes.entry(addr.medium).or_insert(0) += addr.len;
-        }
+        self.unregister_object(oid)?;
         self.precomp.get_mut().invalidate_object(oid);
         self.adb.get_mut().delete_object(oid)?;
         Ok(())
@@ -71,10 +72,7 @@ impl Heaven {
             }
             self.st_cache.invalidate(st);
         }
-        let freed = self.unregister_object(oid)?;
-        for addr in freed {
-            *self.dead_bytes.entry(addr.medium).or_insert(0) += addr.len;
-        }
+        self.unregister_object(oid)?;
         Ok(())
     }
 
@@ -123,8 +121,7 @@ impl Heaven {
             let (new_payload, new_meta) = crate::supertile::encode_supertile(new_id, oid, &tiles);
             let (addr, replica, checksum) =
                 self.write_supertile(new_payload, meta.cell_type.size_bytes())?;
-            let old_addr = self.unregister_supertile(st)?;
-            *self.dead_bytes.entry(old_addr.medium).or_insert(0) += old_addr.len;
+            self.unregister_supertile(st)?;
             self.st_cache.invalidate(st);
             self.register_supertile(new_meta, addr, replica, checksum)?;
         }
@@ -217,31 +214,44 @@ impl Heaven {
         Ok(recovered)
     }
 
-    /// Compact a medium whose dead fraction exceeds `threshold`: read all
-    /// live super-tiles, erase the medium, and rewrite them back-to-back.
-    /// Returns the number of super-tiles rewritten (0 when below the
-    /// threshold).
+    /// Compact a medium whose dead fraction exceeds `threshold`: read every
+    /// live copy on it — primaries and dual-copy replicas — erase the
+    /// medium, and rewrite them back-to-back. Each copy is read through
+    /// the recovery ladder, so a bad or corrupt copy is replaced by the
+    /// super-tile's other copy instead of being carried over. Returns the
+    /// number of copies rewritten (0 when below the threshold).
     pub fn reclaim_medium(&mut self, medium: MediumId, threshold: f64) -> Result<usize> {
         if self.dead_fraction(medium) < threshold {
             return Ok(0);
         }
-        let live = self.catalog.get_mut().on_medium(medium);
-        // Read every live payload before erasing.
-        let mut payloads = Vec::with_capacity(live.len());
-        for &(st, addr) in &live {
-            let payload = self.store.get_mut().read(addr)?;
-            payloads.push((st, payload));
+        let copies = self.catalog.get_mut().copies_on(medium);
+        // Read every live copy before erasing.
+        let mut payloads = Vec::with_capacity(copies.len());
+        for &(st, addr, is_replica) in &copies {
+            // This medium's copy first, the super-tile's other copy as
+            // the fallback.
+            let mut fetch = locate(self, st)?;
+            if is_replica {
+                fetch.replica = Some(fetch.req.addr);
+                fetch.req.addr = addr;
+            }
+            let wire = fetch.read_serial(
+                self.store.get_mut(),
+                &self.config.retry,
+                &self.recovery,
+                &self.bus,
+            )?;
+            payloads.push((st, wire, is_replica));
         }
         self.store.get_mut().library_mut().erase_medium(medium)?;
-        for (st, payload) in payloads {
+        for (st, wire, is_replica) in payloads {
             let addr = self
                 .store
                 .get_mut()
-                .write_to(medium, WritePayload::Real(payload))?;
-            self.relocate_supertile(st, addr)?;
+                .write_to(medium, WritePayload::Real(wire))?;
+            self.relocate_copy(st, addr, is_replica)?;
         }
-        self.dead_bytes.insert(medium, 0);
-        Ok(live.len())
+        Ok(copies.len())
     }
 }
 

@@ -84,23 +84,24 @@ impl Heaven {
 
     /// Build an archive status snapshot.
     pub fn archive_report(&self) -> ArchiveReport {
-        let catalog = self.catalog();
         let oids = self.arraydb().object_ids();
-        let exported = oids.iter().filter(|&&o| catalog.is_exported(o)).count();
-        let lib = self.store();
-        let media = lib
-            .library()
-            .media_ids()
+        let (exported, supertiles) = {
+            let catalog = self.catalog();
+            let exported = oids.iter().filter(|&&o| catalog.is_exported(o)).count();
+            (exported, catalog.len())
+        };
+        let media_ids = self.store().library().media_ids();
+        let media = media_ids
             .into_iter()
             .map(|m| {
-                let used = lib.library().medium_used(m).unwrap_or(0);
+                let used = self.store().library().medium_used(m).unwrap_or(0);
                 (m, used, self.dead_bytes_on(m))
             })
             .collect();
         ArchiveReport {
             exported_objects: exported,
             resident_objects: oids.len() - exported,
-            supertiles: catalog.len(),
+            supertiles,
             media,
             st_cache_hit_ratio: self.st_cache_stats().hit_ratio(),
             tile_cache_hit_ratio: self.tile_cache_stats().hit_ratio(),

@@ -38,9 +38,8 @@ use heaven_hsm::{BlockAddress, DirectStore};
 use heaven_obs::{
     Counter, Field, FloatCounter, Histogram, MetricsRegistry, QueryBreakdown, SpanId, TraceBus,
 };
-use heaven_tape::{DiskProfile, MediumId, SimClock, TapeLibrary, TapeStats, WritePayload};
+use heaven_tape::{DiskProfile, SimClock, TapeLibrary, TapeStats, WritePayload};
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::AtomicU64;
 use std::time::Duration;
@@ -223,8 +222,6 @@ pub struct Heaven {
     pub(crate) next_session: AtomicU64,
     active_query: Option<ActiveQuery>,
     last_breakdown: Option<QueryBreakdown>,
-    /// Dead (unreferenced) bytes per medium, from deletes/updates.
-    pub(crate) dead_bytes: HashMap<MediumId, u64>,
 }
 
 /// The multi-session name of [`Heaven`], which is itself `Send + Sync`.
@@ -272,7 +269,6 @@ impl Heaven {
             next_session: AtomicU64::new(1),
             active_query: None,
             last_breakdown: None,
-            dead_bytes: HashMap::new(),
         }
     }
 
@@ -347,7 +343,7 @@ impl Heaven {
         let now = self.clock.now_s();
         let span = self
             .bus
-            .query_span_start("query", now, &[("label", Field::dyn_str(label))]);
+            .span_start("query", now, &[("label", Field::dyn_str(label))]);
         self.active_query = Some(ActiveQuery {
             label: label.to_string(),
             span,
@@ -363,7 +359,7 @@ impl Heaven {
     pub fn end_query(&mut self) -> Option<QueryBreakdown> {
         let q = self.active_query.take()?;
         let now = self.clock.now_s();
-        self.bus.query_span_end(q.span, now);
+        self.bus.span_end(q.span, now);
         let cur = self.snapshot();
         let tape = cur.tape.since(&q.snap.tape);
         let st = cur.st.since(&q.snap.st);
@@ -546,38 +542,49 @@ impl Heaven {
         Ok(())
     }
 
-    /// Remove one super-tile everywhere; returns its old address.
-    pub(crate) fn unregister_supertile(&mut self, st: SuperTileId) -> Result<BlockAddress> {
-        let addr = self.catalog.get_mut().remove_supertile(st)?;
+    /// Remove one super-tile everywhere; its copies become dead space.
+    pub(crate) fn unregister_supertile(&mut self, st: SuperTileId) -> Result<()> {
+        self.catalog.get_mut().remove_supertile(st)?;
         self.catalog_store
-            .remove(self.adb.get_mut().database_mut(), st)?;
-        Ok(addr)
+            .remove(self.adb.get_mut().database_mut(), st)
     }
 
-    /// Remove an object's super-tiles everywhere; returns the freed
-    /// addresses.
-    pub(crate) fn unregister_object(&mut self, oid: ObjectId) -> Result<Vec<BlockAddress>> {
+    /// Remove an object's super-tiles everywhere; their copies become
+    /// dead space.
+    pub(crate) fn unregister_object(&mut self, oid: ObjectId) -> Result<()> {
         let sts = self.catalog.get_mut().object_supertiles(oid);
         for st in &sts {
             self.catalog_store
                 .remove(self.adb.get_mut().database_mut(), *st)?;
         }
-        Ok(self.catalog.get_mut().remove_object(oid))
+        self.catalog.get_mut().remove_object(oid);
+        Ok(())
     }
 
-    /// Change a super-tile's address everywhere (compaction).
-    pub(crate) fn relocate_supertile(&mut self, st: SuperTileId, addr: BlockAddress) -> Result<()> {
-        self.catalog.get_mut().relocate(st, addr)?;
-        let meta = self.catalog.get_mut().meta(st)?.clone();
-        // Compaction rewrites the identical payload, so the replica and
-        // checksum carry over unchanged.
-        let replica = self.catalog.get_mut().replica(st);
-        let checksum = self.catalog.get_mut().checksum(st).unwrap_or(0);
+    /// Change the address of one archive copy of a super-tile (the
+    /// replica if `is_replica`, else the primary) everywhere (compaction).
+    pub(crate) fn relocate_copy(
+        &mut self,
+        st: SuperTileId,
+        addr: BlockAddress,
+        is_replica: bool,
+    ) -> Result<()> {
+        let cat = self.catalog.get_mut();
+        if is_replica {
+            cat.register_replica(st, addr);
+        } else {
+            cat.relocate(st, addr)?;
+        }
+        let meta = cat.meta(st)?.clone();
+        // Compaction rewrites the identical wire bytes, so the other copy
+        // and the checksum carry over unchanged.
+        let (primary, replica) = (cat.address(st)?, cat.replica(st));
+        let checksum = cat.checksum(st).unwrap_or(0);
         self.catalog_store.update_addr(
             self.adb.get_mut().database_mut(),
             st,
             &meta,
-            addr,
+            primary,
             replica,
             checksum,
         )?;
@@ -585,37 +592,25 @@ impl Heaven {
     }
 
     /// Rebuild the archive catalog from the persistent tables — used after
-    /// a server restart or RDBMS crash recovery. Dead space per medium is
-    /// recomputed as (bytes used on medium) − (bytes of live super-tiles).
+    /// a server restart or RDBMS crash recovery.
     pub fn rebuild_archive_catalog(&mut self) -> Result<()> {
         let loaded = self
             .catalog_store
             .load_all(self.adb.get_mut().database_mut())?;
         let mut catalog = SuperTileCatalog::new();
         let mut max_id = 0;
-        let mut live: HashMap<MediumId, u64> = HashMap::new();
         for (meta, addr, replica, checksum) in loaded {
             max_id = max_id.max(meta.id);
-            *live.entry(addr.medium).or_insert(0) += addr.len;
             let st = meta.id;
             catalog.register(meta, addr);
             catalog.set_checksum(st, checksum);
             if let Some(r) = replica {
-                *live.entry(r.medium).or_insert(0) += r.len;
                 catalog.register_replica(st, r);
             }
         }
         catalog.bump_next_id(max_id);
         debug_assert_eq!(self.catalog_store.len(), catalog.len());
         *self.catalog.get_mut() = catalog;
-        self.dead_bytes.clear();
-        for m in self.store.get_mut().library().media_ids() {
-            let used = self.store.get_mut().library().medium_used(m).unwrap_or(0);
-            let l = live.get(&m).copied().unwrap_or(0);
-            if used > l {
-                self.dead_bytes.insert(m, used - l);
-            }
-        }
         self.clear_caches();
         Ok(())
     }

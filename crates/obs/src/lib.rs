@@ -11,8 +11,10 @@
 //!   The record→sink fast path is allocation-free and lock-free: names
 //!   intern to [`Sym`] ids, records are fixed-size POD values in a
 //!   seqlock ring, and the JSONL sink serializes drained batches off the
-//!   hot path. [`TraceConfig`] adds per-[`Subsystem`] levels, head
-//!   sampling of query spans, and always-keep-slow tail capture.
+//!   hot path. One span API (`span_start`/`span_end`, `event`, `link`)
+//!   serves every entry point; [`TraceConfig`] adds head sampling of
+//!   root `query` spans, decided per thread, and always-keep-slow tail
+//!   capture.
 //! * [`MetricsRegistry`] — named monotonic counters, float counters
 //!   (simulated seconds), gauges, and histograms. Component stat structs
 //!   (`TapeStats`, `CacheStats`, …) remain public views reconstructed
@@ -37,8 +39,7 @@ pub use metrics::{
     bucket_index, bucket_upper_bound, escape_label_value, Counter, Exemplar, FloatCounter, Gauge,
     HistSnapshot, HistSummary, Histogram, MetricValue, MetricsRegistry, NUM_BUCKETS,
 };
-pub use sym::{Subsystem, Sym};
+pub use sym::Sym;
 pub use trace::{
-    check_well_nested, Field, RecordKind, SpanId, TraceBus, TraceConfig, TraceLevel, TraceRecord,
-    TraceSink,
+    check_well_nested, Field, RecordKind, SpanId, TraceBus, TraceConfig, TraceRecord, TraceSink,
 };

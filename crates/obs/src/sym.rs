@@ -13,12 +13,8 @@
 //!   of a string copies it into leaked storage (bounded by
 //!   [`MAX_SYMS`]; beyond that everything maps to the `"!overflow"`
 //!   sentinel so the table cannot grow without bound).
-//!
-//! Each symbol also remembers which [`Subsystem`] its name belongs to
-//! (classified once, at intern time, from the name prefix), so the
-//! per-subsystem trace-level check on the hot path is one array load.
 
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Hard cap on distinct interned strings. Past this every new string
@@ -41,84 +37,6 @@ pub struct Sym(pub u32);
 /// The sentinel every string interns to once the table is full.
 pub const SYM_OVERFLOW: Sym = Sym(0);
 
-/// Which part of the system a trace name belongs to, derived from its
-/// prefix (`"tape."`, `"hsm."`, …). Used for per-subsystem trace levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Subsystem {
-    /// `query`, `heaven.*`, `trace.*` — the core system and the bus itself.
-    Core = 0,
-    /// `tape.*` — the simulated tape library.
-    Tape = 1,
-    /// `hsm.*` — hierarchical storage management.
-    Hsm = 2,
-    /// `cache.*` — super-tile and tile caches.
-    Cache = 3,
-    /// `export.*` — archive export pipelines.
-    Export = 4,
-    /// `rdbms.*` — the base storage manager.
-    Rdbms = 5,
-    /// `arraydb.*` — the array DBMS layer.
-    ArrayDb = 6,
-    /// Anything else (tests, user instrumentation).
-    Other = 7,
-}
-
-impl Subsystem {
-    /// Number of subsystems (size of per-subsystem level arrays).
-    pub const COUNT: usize = 8;
-
-    /// All subsystems, in id order.
-    pub const ALL: [Subsystem; Subsystem::COUNT] = [
-        Subsystem::Core,
-        Subsystem::Tape,
-        Subsystem::Hsm,
-        Subsystem::Cache,
-        Subsystem::Export,
-        Subsystem::Rdbms,
-        Subsystem::ArrayDb,
-        Subsystem::Other,
-    ];
-
-    /// Classify a span/event name by prefix.
-    pub fn of_name(name: &str) -> Subsystem {
-        let prefix = name.split('.').next().unwrap_or(name);
-        match prefix {
-            "query" | "heaven" | "trace" | "sched" => Subsystem::Core,
-            "tape" => Subsystem::Tape,
-            "hsm" => Subsystem::Hsm,
-            "cache" => Subsystem::Cache,
-            "export" => Subsystem::Export,
-            "rdbms" => Subsystem::Rdbms,
-            "arraydb" => Subsystem::ArrayDb,
-            _ => Subsystem::Other,
-        }
-    }
-
-    fn from_u8(v: u8) -> Subsystem {
-        Subsystem::ALL[(v as usize).min(Subsystem::COUNT - 1)]
-    }
-
-    /// Lower-case name, as used by config knobs (`--trace-level tape=off`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Subsystem::Core => "core",
-            Subsystem::Tape => "tape",
-            Subsystem::Hsm => "hsm",
-            Subsystem::Cache => "cache",
-            Subsystem::Export => "export",
-            Subsystem::Rdbms => "rdbms",
-            Subsystem::ArrayDb => "arraydb",
-            Subsystem::Other => "other",
-        }
-    }
-
-    /// Parse a subsystem name (inverse of [`Subsystem::as_str`]).
-    pub fn parse(s: &str) -> Option<Subsystem> {
-        Subsystem::ALL.into_iter().find(|sub| sub.as_str() == s)
-    }
-}
-
 struct Interner {
     /// Open-addressed content table; entry = `(hash_tag << 32) | (id + 1)`,
     /// `0` = empty. Published with `Release` after the string storage.
@@ -131,7 +49,6 @@ struct Interner {
     /// id → string storage (leaked copies or `'static` originals).
     strs: Box<[AtomicPtr<u8>]>,
     lens: Box<[AtomicU32]>,
-    subs: Box<[AtomicU8]>,
     next: AtomicU32,
     /// Writers serialize inserts; readers never take this.
     write: Mutex<()>,
@@ -148,9 +65,6 @@ fn interner() -> &'static Interner {
                 .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                 .collect(),
             lens: (0..MAX_SYMS).map(|_| AtomicU32::new(0)).collect(),
-            subs: (0..MAX_SYMS)
-                .map(|_| AtomicU8::new(Subsystem::Other as u8))
-                .collect(),
             next: AtomicU32::new(0),
             write: Mutex::new(()),
         };
@@ -186,10 +100,6 @@ impl Interner {
         // of the slot entry (or ptr_vals entry) that delivered `id`
         // happens-after both stores.
         unsafe { std::str::from_utf8_unchecked(std::slice::from_raw_parts(ptr, len)) }
-    }
-
-    fn sub_of(&self, id: u32) -> Subsystem {
-        Subsystem::from_u8(self.subs[id as usize].load(Ordering::Relaxed))
     }
 
     /// Look up `s` in the content table; insert on miss.
@@ -243,7 +153,6 @@ impl Interner {
         };
         self.strs[id as usize].store(stored.as_ptr() as *mut u8, Ordering::Release);
         self.lens[id as usize].store(stored.len() as u32, Ordering::Release);
-        self.subs[id as usize].store(Subsystem::of_name(s) as u8, Ordering::Relaxed);
         self.next.store(id + 1, Ordering::Relaxed);
         self.slots[i].store(((tag as u64) << 32) | (id as u64 + 1), Ordering::Release);
         Sym(id)
@@ -312,11 +221,6 @@ impl Sym {
     pub fn resolve(self) -> &'static str {
         interner().str_of(self.0)
     }
-
-    /// Subsystem classification of the interned name.
-    pub fn subsystem(self) -> Subsystem {
-        interner().sub_of(self.0)
-    }
 }
 
 #[cfg(test)]
@@ -331,7 +235,6 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(a.resolve(), "tape.mount");
-        assert_eq!(a.subsystem(), Subsystem::Tape);
         assert_ne!(a, Sym::intern("tape.unmount"));
     }
 
@@ -342,29 +245,6 @@ mod tests {
         let b = Sym::intern_static(NAME);
         assert_eq!(a, b);
         assert_eq!(a.resolve(), NAME);
-        assert_eq!(a.subsystem(), Subsystem::Core);
-    }
-
-    #[test]
-    fn subsystem_classification_covers_all_prefixes() {
-        for (name, want) in [
-            ("query", Subsystem::Core),
-            ("heaven.st_fetch", Subsystem::Core),
-            ("trace.config", Subsystem::Core),
-            ("sched.batch", Subsystem::Core),
-            ("tape.transfer", Subsystem::Tape),
-            ("hsm.stage", Subsystem::Hsm),
-            ("cache.st.hit", Subsystem::Cache),
-            ("export.tct", Subsystem::Export),
-            ("rdbms.checkpoint", Subsystem::Rdbms),
-            ("arraydb.tile_read", Subsystem::ArrayDb),
-            ("custom.thing", Subsystem::Other),
-        ] {
-            assert_eq!(Subsystem::of_name(name), want, "{name}");
-        }
-        for sub in Subsystem::ALL {
-            assert_eq!(Subsystem::parse(sub.as_str()), Some(sub));
-        }
     }
 
     #[test]

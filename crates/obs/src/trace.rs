@@ -42,13 +42,18 @@
 //! # Sampling
 //!
 //! Production tracing wants less than everything: [`TraceConfig`] carries
-//! per-[`Subsystem`] levels (`Off`/`Spans`/`All`), head sampling of
-//! bracketed queries (`sample_1_in_n`: keep every n-th query trace), and
+//! head sampling (`sample_1_in_n`: keep every n-th query trace) and
 //! always-keep-slow tail capture (`keep_slow_s`: a sampled-out query
 //! whose simulated duration reaches the threshold is retained anyway).
-//! Sampled-out queries divert their records to a side ring and discard
-//! them at `query_span_end` unless slow — so the main stream stays
-//! well-nested with whole query subtrees present or absent.
+//! The sampling unit is a **root `query` span** — one opened while the
+//! thread's span stack is empty — from any entry point (the single-owner
+//! facade's query bracket and every session's `fetch_region` alike).
+//! Each such root draws the next ticket from one bus-wide counter. A
+//! sampled-out root diverts *its own thread's* records into that
+//! thread's side buffer; its `span_end` discards them, or promotes them
+//! to the main ring when the query was slow. Diversion is per thread, so
+//! concurrent sessions sample independently and the main stream keeps
+//! whole query subtrees present or absent.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::fmt;
@@ -60,7 +65,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::json;
-use crate::sym::{Subsystem, Sym};
+use crate::sym::Sym;
 
 /// Identifier of a span, unique within one `TraceBus`.
 pub type SpanId = u64;
@@ -89,9 +94,11 @@ const JSONL_BATCH: u64 = 512;
 /// stale the file can be while the pending backlog sits under a batch.
 const JSONL_WRITER_NAP: Duration = Duration::from_millis(100);
 
-/// Side-ring capacity for sampled-out queries awaiting the slow/fast
-/// verdict. A sampled-out query emitting more than this is dropped
-/// entirely (with a `trace.slow_query_dropped` marker if it was slow).
+/// Side-buffer capacity (records) for a sampled-out query awaiting the
+/// slow/fast verdict; one buffer per thread and bus, allocated at the
+/// thread's first sampled-out query. A sampled-out query emitting more
+/// than this is dropped entirely (with a `trace.slow_query_dropped`
+/// marker if it was slow).
 const SIDE_CAP: usize = 4096;
 
 // -- fields -------------------------------------------------------------------
@@ -279,13 +286,16 @@ impl RecordKind {
     }
 }
 
-/// One record on the bus. Records are totally ordered by `seq`.
+/// One record on the bus. Records are totally ordered by `seq`, their
+/// position in the bus's record stream.
 ///
 /// This is the *reconstructed* view handed out by [`TraceBus::records`];
 /// internally the bus stores POD [`CompactRecord`]s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
-    /// Monotone sequence number, assigned by the bus.
+    /// Monotone sequence number: the record's ring claim. A slow
+    /// sampled-out query's records take theirs when promoted, so the
+    /// promoted subtree is contiguous in `seq` order.
     pub seq: u64,
     pub kind: RecordKind,
     /// Static name, e.g. `"tape.mount"` or `"query"`.
@@ -641,16 +651,20 @@ impl SlotRing {
     }
 
     fn push(&self, rec: &CompactRecord) -> u64 {
-        self.push_with(|slot| *slot = *rec)
+        self.push_with(|slot, claim| {
+            *slot = *rec;
+            slot.seq = claim;
+        })
     }
 
     /// Claim a slot and let `fill` write the record in place, inside the
-    /// seqlock write section. The slot still holds whatever record lived
+    /// seqlock write section; the claim is the record's `seq`. The slot
+    /// still holds whatever record lived
     /// there a lap ago: `fill` must set every header field, and readers
     /// never look past `nf` fields or `sused` string bytes, so the stale
     /// tail needs no zeroing. Building in place spares the fast path a
     /// stack-local zero-init plus a whole-record copy per record.
-    fn push_with(&self, fill: impl FnOnce(&mut CompactRecord)) -> u64 {
+    fn push_with(&self, fill: impl FnOnce(&mut CompactRecord, u64)) -> u64 {
         let claim = self.head.fetch_add(1, Ordering::AcqRel);
         let slot = &self.slots[(claim & self.mask) as usize];
         // Acquire on the RMW keeps the payload write from being
@@ -660,7 +674,7 @@ impl SlotRing {
         // SAFETY: the claim cursor hands each claim to exactly one
         // writer; a lapped writer for the same slot bumped the version
         // first, so readers discard whatever they copied.
-        fill(unsafe { &mut *slot.rec.get() });
+        fill(unsafe { &mut *slot.rec.get() }, claim);
         slot.ver.store(claim * 2 + 2, Ordering::Release);
         claim
     }
@@ -737,30 +751,6 @@ fn jsonl_writer_loop(weak: Weak<BusInner>) {
 
 // -- configuration ------------------------------------------------------------
 
-/// How much of a subsystem's instrumentation to record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum TraceLevel {
-    /// Nothing from this subsystem.
-    Off,
-    /// Spans only (events dropped).
-    Spans,
-    /// Spans and events (the default).
-    #[default]
-    All,
-}
-
-impl TraceLevel {
-    /// Parse `"off"` / `"spans"` / `"all"`.
-    pub fn parse(s: &str) -> Option<TraceLevel> {
-        match s {
-            "off" => Some(TraceLevel::Off),
-            "spans" => Some(TraceLevel::Spans),
-            "all" => Some(TraceLevel::All),
-            _ => None,
-        }
-    }
-}
-
 /// Sink selection, carried inside [`TraceConfig`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TraceSink {
@@ -776,18 +766,15 @@ pub enum TraceSink {
 }
 
 /// Trace configuration, carried inside `HeavenConfig`: sink choice plus
-/// the production-tracing knobs (head sampling, slow-tail capture,
-/// per-subsystem levels).
+/// the production-tracing knobs (head sampling, slow-tail capture).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     pub sink: TraceSink,
-    /// Keep every n-th bracketed query trace (0 or 1 = keep all).
+    /// Keep every n-th root `query` span's trace (0 or 1 = keep all).
     pub sample_1_in_n: u64,
     /// A sampled-out query whose simulated duration reaches this many
     /// seconds is kept anyway (`INFINITY` = never).
     pub keep_slow_s: f64,
-    /// Per-subsystem record levels, indexed by `Subsystem as usize`.
-    pub levels: [TraceLevel; Subsystem::COUNT],
 }
 
 impl Default for TraceConfig {
@@ -796,7 +783,6 @@ impl Default for TraceConfig {
             sink: TraceSink::Off,
             sample_1_in_n: 1,
             keep_slow_s: f64::INFINITY,
-            levels: [TraceLevel::All; Subsystem::COUNT],
         }
     }
 }
@@ -823,7 +809,7 @@ impl TraceConfig {
         }
     }
 
-    /// Keep every n-th bracketed query trace (head sampling).
+    /// Keep every n-th root `query` span's trace (head sampling).
     pub fn with_sample(mut self, n: u64) -> TraceConfig {
         self.sample_1_in_n = n;
         self
@@ -832,12 +818,6 @@ impl TraceConfig {
     /// Keep sampled-out queries at least this slow (simulated seconds).
     pub fn with_keep_slow(mut self, s: f64) -> TraceConfig {
         self.keep_slow_s = s;
-        self
-    }
-
-    /// Set one subsystem's record level.
-    pub fn with_level(mut self, sub: Subsystem, level: TraceLevel) -> TraceConfig {
-        self.levels[sub as usize] = level;
         self
     }
 }
@@ -857,6 +837,14 @@ struct SpanStack {
     /// stamped onto every record; see [`TraceBus::set_session`].
     session: u64,
     frames: Vec<Frame>,
+    /// Set while this thread's root `query` span is sampled out: records
+    /// go to `side` until the root's `span_end` settles them.
+    diverted: bool,
+    /// The sampled-out query's records (capacity [`SIDE_CAP`], reserved
+    /// at the first divert and reused by every later one).
+    side: Vec<CompactRecord>,
+    /// The sampled-out query outgrew `side`.
+    side_lost: bool,
 }
 
 thread_local! {
@@ -877,6 +865,9 @@ fn with_stack<R>(bus_id: u64, f: impl FnOnce(&mut SpanStack) -> R) -> R {
                     bus_id,
                     session: 0,
                     frames: Vec::with_capacity(32),
+                    diverted: false,
+                    side: Vec::new(),
+                    side_lost: false,
                 });
                 v.len() - 1
             }
@@ -885,14 +876,27 @@ fn with_stack<R>(bus_id: u64, f: impl FnOnce(&mut SpanStack) -> R) -> R {
     })
 }
 
+/// Buffer a sampled-out query's record on its thread (kept out of line:
+/// the unsampled fast path never takes this branch).
+#[cold]
+#[inline(never)]
+fn divert(st: &mut SpanStack, fill: impl FnOnce(&mut CompactRecord, u64)) {
+    if st.side.len() < SIDE_CAP {
+        let mut rec = CompactRecord::EMPTY;
+        // The record takes its `seq` if it is promoted to the ring.
+        fill(&mut rec, 0);
+        st.side.push(rec);
+    } else {
+        st.side_lost = true;
+    }
+}
+
 // -- the bus ------------------------------------------------------------------
 
 struct BusInner {
     enabled: AtomicBool,
     /// Keys this bus's thread-local span stacks.
     bus_id: u64,
-    levels: [TraceLevel; Subsystem::COUNT],
-    seq: AtomicU64,
     next_span: AtomicU64,
     /// Wall-clock Unix seconds (`f64` bits), refreshed once per root
     /// span: per-record clock reads would dominate the fast path and the
@@ -901,15 +905,11 @@ struct BusInner {
     /// The retained ring (`Memory` sink) or the JSONL pending ring.
     ring: Option<SlotRing>,
     jsonl: Option<JsonlOut>,
-    // Sampling state.
+    // Sampling state (the divert state is per thread, in `SpanStack`).
     sample_n: u64,
     keep_slow_s: f64,
+    /// Sampling tickets drawn by root `query` spans.
     sample_counter: AtomicU64,
-    /// While set, records divert to `side` awaiting the slow/fast verdict.
-    diverted: AtomicBool,
-    side: Option<SlotRing>,
-    /// Side-ring claim at which the current diverted query began.
-    side_start: AtomicU64,
     /// Slow sampled-out queries whose side buffer overflowed.
     dropped_slow: AtomicU64,
 }
@@ -999,8 +999,6 @@ impl TraceBus {
             inner: Arc::new(BusInner {
                 enabled: AtomicBool::new(enabled),
                 bus_id: NEXT_BUS_ID.fetch_add(1, Ordering::Relaxed),
-                levels: cfg.levels,
-                seq: AtomicU64::new(0),
                 next_span: AtomicU64::new(1),
                 wall_cache: AtomicU64::new(wall_now_s().to_bits()),
                 ring,
@@ -1008,9 +1006,6 @@ impl TraceBus {
                 sample_n,
                 keep_slow_s: cfg.keep_slow_s,
                 sample_counter: AtomicU64::new(0),
-                diverted: AtomicBool::new(false),
-                side: (sample_n > 1).then(|| SlotRing::new(SIDE_CAP)),
-                side_start: AtomicU64::new(0),
                 dropped_slow: AtomicU64::new(0),
             }),
         };
@@ -1080,9 +1075,15 @@ impl TraceBus {
     /// Route an already-built record to the main ring (slow-query
     /// promotion); the hot path builds records in place via `emit`.
     fn sink_main(&self, rec: &CompactRecord) {
+        if let Some(ring) = &self.inner.ring {
+            ring.push(rec);
+            self.wake_writer(ring);
+        }
+    }
+
+    /// Hand the JSONL writer a batch once enough records are pending.
+    fn wake_writer(&self, ring: &SlotRing) {
         let inner = &*self.inner;
-        let Some(ring) = &inner.ring else { return };
-        ring.push(rec);
         if let Some(j) = &inner.jsonl {
             if ring.head().wrapping_sub(j.tail.load(Ordering::Relaxed)) >= JSONL_BATCH {
                 match j.writer.get() {
@@ -1093,23 +1094,26 @@ impl TraceBus {
         }
     }
 
+    /// Record one entry for the thread owning `st`: into its side buffer
+    /// while its root query is sampled out, else straight into a ring
+    /// slot. Stamped with the thread's session.
     #[allow(clippy::too_many_arguments)]
     fn emit(
         &self,
+        st: &mut SpanStack,
         kind: RecordKind,
         name: Sym,
         sim_s: f64,
         span: u64,
         parent: u64,
-        session: u64,
         fields: &[(&'static str, Field)],
     ) {
         let inner = &*self.inner;
-        let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         let wall_s = f64::from_bits(inner.wall_cache.load(Ordering::Relaxed));
+        let session = st.session;
         // Build the record directly in its ring slot (see `push_with`):
         // the hot path writes only the bytes this record actually uses.
-        let fill = |rec: &mut CompactRecord| {
+        let fill = |rec: &mut CompactRecord, seq: u64| {
             rec.seq = seq;
             rec.sim_s = sim_s;
             rec.wall_s = wall_s;
@@ -1121,22 +1125,12 @@ impl TraceBus {
             rec.sused = 0;
             rec.encode_fields(fields);
         };
-        if inner.diverted.load(Ordering::Relaxed) {
-            if let Some(side) = &inner.side {
-                side.push_with(fill);
-            }
-            return;
+        if st.diverted {
+            return divert(st, fill);
         }
         let Some(ring) = &inner.ring else { return };
         ring.push_with(fill);
-        if let Some(j) = &inner.jsonl {
-            if ring.head().wrapping_sub(j.tail.load(Ordering::Relaxed)) >= JSONL_BATCH {
-                match j.writer.get() {
-                    Some(t) => t.unpark(),
-                    None => drain_jsonl(inner, false),
-                }
-            }
-        }
+        self.wake_writer(ring);
     }
 
     /// Declare the session the **current thread** works on behalf of;
@@ -1162,7 +1156,7 @@ impl TraceBus {
     /// span to the shared `sched.batch` span that served it). Links cross
     /// thread and session boundaries, carry no nesting semantics, and
     /// ride the same allocation-free compact-record path as spans.
-    /// No-op if either span id is 0 (disabled or level-filtered span).
+    /// No-op if either span id is 0 (tracing disabled).
     pub fn link(
         &self,
         name: &'static str,
@@ -1175,22 +1169,17 @@ impl TraceBus {
             return;
         }
         let sym = Sym::intern_static(name);
-        if self.inner.levels[sym.subsystem() as usize] < TraceLevel::Spans {
-            return;
-        }
-        let session = with_stack(self.inner.bus_id, |st| st.session);
-        self.emit(
-            RecordKind::Link,
-            sym,
-            sim_s,
-            from_span,
-            to_span,
-            session,
-            fields,
-        );
+        with_stack(self.inner.bus_id, |st| {
+            self.emit(st, RecordKind::Link, sym, sim_s, from_span, to_span, fields);
+        });
     }
 
     /// Open a span. Returns its id; pass it to [`TraceBus::span_end`].
+    ///
+    /// A root span named `query` (this thread has no span open on this
+    /// bus) is a sampling unit: it draws the next head-sampling ticket,
+    /// and a sampled-out one diverts this thread's records until its
+    /// `span_end` (see the module docs).
     pub fn span_start(
         &self,
         name: &'static str,
@@ -1200,42 +1189,39 @@ impl TraceBus {
         if !self.is_enabled() {
             return 0;
         }
+        let inner = &*self.inner;
         let sym = Sym::intern_static(name);
-        if self.inner.levels[sym.subsystem() as usize] < TraceLevel::Spans {
-            return 0; // children attach to the grandparent: still nested
-        }
-        let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let (parent, session) = with_stack(self.inner.bus_id, |st| {
+        let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
+        with_stack(inner.bus_id, |st| {
             let parent = st.frames.last().map_or(0, |f| f.id);
+            if parent == 0 {
+                // Root span: refresh the coarse wall-clock stamp shared by
+                // every record in this subtree.
+                inner
+                    .wall_cache
+                    .store(wall_now_s().to_bits(), Ordering::Relaxed);
+                if inner.sample_n > 1 && name == "query" {
+                    let ticket = inner.sample_counter.fetch_add(1, Ordering::Relaxed);
+                    if !ticket.is_multiple_of(inner.sample_n) {
+                        st.diverted = true;
+                        st.side.reserve_exact(SIDE_CAP);
+                    }
+                }
+            }
             st.frames.push(Frame {
                 id,
                 name: sym,
                 start_s: sim_s,
             });
-            (parent, st.session)
+            self.emit(st, RecordKind::SpanStart, sym, sim_s, id, parent, fields);
         });
-        if parent == 0 {
-            // Root span: refresh the coarse wall-clock stamp shared by
-            // every record in this subtree.
-            self.inner
-                .wall_cache
-                .store(wall_now_s().to_bits(), Ordering::Relaxed);
-        }
-        self.emit(
-            RecordKind::SpanStart,
-            sym,
-            sim_s,
-            id,
-            parent,
-            session,
-            fields,
-        );
         id
     }
 
     /// Close a span. Any spans left open above it on the stack are closed
     /// first (with the same timestamp), so traces stay well-nested even
-    /// if an instrumented function returns early.
+    /// if an instrumented function returns early. Closing a sampled-out
+    /// root settles its diverted records.
     pub fn span_end(&self, id: SpanId, sim_s: f64) {
         if !self.is_enabled() || id == 0 {
             return;
@@ -1248,19 +1234,51 @@ impl TraceBus {
                 let parent = st.frames.last().map_or(0, |f| f.id);
                 let dur = (sim_s - frame.start_s).max(0.0);
                 self.emit(
+                    st,
                     RecordKind::SpanEnd,
                     frame.name,
                     sim_s,
                     frame.id,
                     parent,
-                    st.session,
                     &[("dur_s", Field::F64(dur))],
                 );
+                if parent == 0 && st.diverted {
+                    self.settle_sampled_out(st, sim_s, dur);
+                }
                 if frame.id == id {
                     break;
                 }
             }
         });
+    }
+
+    /// Resolve a sampled-out root's verdict once it closed after `dur_s`:
+    /// discard its diverted records, or — when it ran at least
+    /// `keep_slow_s` — promote them whole to the main ring.
+    fn settle_sampled_out(&self, st: &mut SpanStack, sim_s: f64, dur_s: f64) {
+        st.diverted = false;
+        let lost = std::mem::take(&mut st.side_lost);
+        if dur_s >= self.inner.keep_slow_s {
+            if lost {
+                // A partial promotion would break well-nestedness: drop
+                // the whole query and say so.
+                self.inner.dropped_slow.fetch_add(1, Ordering::Relaxed);
+                self.emit(
+                    st,
+                    RecordKind::Event,
+                    Sym::intern_static("trace.slow_query_dropped"),
+                    sim_s,
+                    0,
+                    0,
+                    &[("dur_s", Field::F64(dur_s))],
+                );
+            } else {
+                for rec in &st.side {
+                    self.sink_main(rec);
+                }
+            }
+        }
+        st.side.clear();
     }
 
     /// Record an instantaneous event inside the innermost open span.
@@ -1269,78 +1287,10 @@ impl TraceBus {
             return;
         }
         let sym = Sym::intern_static(name);
-        if self.inner.levels[sym.subsystem() as usize] < TraceLevel::All {
-            return;
-        }
-        let (parent, session) = with_stack(self.inner.bus_id, |st| {
-            (st.frames.last().map_or(0, |f| f.id), st.session)
+        with_stack(self.inner.bus_id, |st| {
+            let parent = st.frames.last().map_or(0, |f| f.id);
+            self.emit(st, RecordKind::Event, sym, sim_s, 0, parent, fields);
         });
-        self.emit(RecordKind::Event, sym, sim_s, 0, parent, session, fields);
-    }
-
-    /// Open a **bracketed query** span, applying head sampling: every
-    /// n-th query records normally; the rest divert to a side buffer and
-    /// are discarded at [`TraceBus::query_span_end`] unless slower than
-    /// `keep_slow_s`.
-    pub fn query_span_start(
-        &self,
-        name: &'static str,
-        sim_s: f64,
-        fields: &[(&'static str, Field)],
-    ) -> SpanId {
-        if !self.is_enabled() {
-            return 0;
-        }
-        let inner = &*self.inner;
-        if let Some(side) = &inner.side {
-            let c = inner.sample_counter.fetch_add(1, Ordering::Relaxed);
-            if !c.is_multiple_of(inner.sample_n) && !inner.diverted.load(Ordering::Relaxed) {
-                inner.side_start.store(side.head(), Ordering::Relaxed);
-                inner.diverted.store(true, Ordering::Relaxed);
-            }
-        }
-        self.span_start(name, sim_s, fields)
-    }
-
-    /// Close a bracketed query span and resolve its sampling verdict.
-    pub fn query_span_end(&self, id: SpanId, sim_s: f64) {
-        let start_s = with_stack(self.inner.bus_id, |st| {
-            st.frames.iter().find(|f| f.id == id).map(|f| f.start_s)
-        });
-        self.span_end(id, sim_s);
-        let inner = &*self.inner;
-        if !inner.diverted.load(Ordering::Relaxed) {
-            return;
-        }
-        inner.diverted.store(false, Ordering::Relaxed);
-        let Some(side) = &inner.side else { return };
-        let dur = start_s.map_or(0.0, |s| (sim_s - s).max(0.0));
-        if dur < inner.keep_slow_s {
-            return; // fast sampled-out query: records are discarded
-        }
-        // Slow: promote the diverted records into the main stream.
-        let from = inner.side_start.load(Ordering::Relaxed);
-        let to = side.head();
-        if to.saturating_sub(from) > side.capacity() {
-            // The side ring lapped: a partial promotion would break
-            // well-nestedness, so drop the whole query and say so.
-            inner.dropped_slow.fetch_add(1, Ordering::Relaxed);
-            self.emit(
-                RecordKind::Event,
-                Sym::intern_static("trace.slow_query_dropped"),
-                sim_s,
-                0,
-                0,
-                0,
-                &[("dur_s", Field::F64(dur))],
-            );
-            return;
-        }
-        for claim in from..to {
-            if let Some(rec) = side.read(claim) {
-                self.sink_main(&rec);
-            }
-        }
     }
 
     /// Snapshot of retained records (ring sinks and the JSONL mirror),
@@ -1422,6 +1372,7 @@ pub fn check_well_nested(records: &[TraceRecord]) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
 
     #[test]
     fn noop_bus_is_inert() {
@@ -1544,9 +1495,9 @@ mod tests {
     fn head_sampling_keeps_every_nth_query() {
         let bus = TraceBus::from_config(&TraceConfig::ring(1 << 12).with_sample(3));
         for i in 0..9 {
-            let q = bus.query_span_start("query", i as f64, &[]);
+            let q = bus.span_start("query", i as f64, &[]);
             bus.event("tape.mount", i as f64 + 0.1, &[]);
-            bus.query_span_end(q, i as f64 + 0.5);
+            bus.span_end(q, i as f64 + 0.5);
         }
         let recs = bus.records();
         check_well_nested(&recs).unwrap();
@@ -1569,13 +1520,13 @@ mod tests {
             .with_keep_slow(5.0);
         let bus = TraceBus::from_config(&cfg);
         // Query 0 is head-sampled in; 1 is fast (dropped); 2 is slow (kept).
-        let q = bus.query_span_start("query", 0.0, &[]);
-        bus.query_span_end(q, 0.1);
-        let q = bus.query_span_start("query", 1.0, &[]);
-        bus.query_span_end(q, 1.1);
-        let q = bus.query_span_start("query", 2.0, &[("slow", Field::U64(1))]);
+        let q = bus.span_start("query", 0.0, &[]);
+        bus.span_end(q, 0.1);
+        let q = bus.span_start("query", 1.0, &[]);
+        bus.span_end(q, 1.1);
+        let q = bus.span_start("query", 2.0, &[("slow", Field::U64(1))]);
         bus.event("tape.mount", 4.0, &[]);
-        bus.query_span_end(q, 9.0);
+        bus.span_end(q, 9.0);
         let recs = bus.records();
         check_well_nested(&recs).unwrap();
         let queries: Vec<_> = recs
@@ -1594,32 +1545,54 @@ mod tests {
     }
 
     #[test]
-    fn subsystem_levels_filter_records() {
-        let cfg = TraceConfig::ring(256)
-            .with_level(Subsystem::Tape, TraceLevel::Off)
-            .with_level(Subsystem::Hsm, TraceLevel::Spans);
-        let bus = TraceBus::from_config(&cfg);
-        let q = bus.span_start("query", 0.0, &[]);
-        let t = bus.span_start("tape.transfer", 0.1, &[]); // dropped (Off)
-        bus.event("tape.mount", 0.2, &[]); // dropped (Off)
-        bus.span_end(t, 0.3);
-        let h = bus.span_start("hsm.stage", 0.4, &[]); // kept (Spans)
-        bus.event("hsm.purge", 0.5, &[]); // dropped (Spans < All)
-        bus.span_end(h, 0.6);
-        bus.span_end(q, 1.0);
+    fn sampling_diverts_per_thread() {
+        // 1-in-2: thread B's root query draws ticket 0 (kept); thread A's,
+        // opened while B's is still open, draws ticket 1 (sampled out).
+        // B records and closes around A's whole sampled-out query.
+        let bus = TraceBus::from_config(&TraceConfig::ring(1 << 12).with_sample(2));
+        let (b_open, a_open, b_recorded, a_closed) = (
+            Barrier::new(2),
+            Barrier::new(2),
+            Barrier::new(2),
+            Barrier::new(2),
+        );
+        let child = |bus: &TraceBus, t: f64| {
+            let f = bus.span_start("heaven.st_fetch", t, &[]);
+            bus.event("tape.mount", t + 0.1, &[]);
+            bus.link("sched.link", t + 0.2, f, 1, &[]);
+            bus.span_end(f, t + 0.5);
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                bus.set_session(2);
+                let q = bus.span_start("query", 0.0, &[]);
+                b_open.wait();
+                a_open.wait();
+                child(&bus, 1.0);
+                b_recorded.wait();
+                a_closed.wait();
+                bus.span_end(q, 3.0);
+            });
+            s.spawn(|| {
+                bus.set_session(1);
+                b_open.wait();
+                let q = bus.span_start("query", 0.0, &[]);
+                a_open.wait();
+                b_recorded.wait();
+                child(&bus, 1.0);
+                bus.span_end(q, 3.0);
+                a_closed.wait();
+            });
+        });
         let recs = bus.records();
-        check_well_nested(&recs).unwrap();
-        let names: Vec<&str> = recs.iter().map(|r| r.name).collect();
-        assert!(!names.contains(&"tape.transfer"));
-        assert!(!names.contains(&"tape.mount"));
-        assert!(!names.contains(&"hsm.purge"));
-        assert!(names.contains(&"hsm.stage"));
-        // The hsm span still nests under the query.
-        let hsm = recs
-            .iter()
-            .find(|r| r.name == "hsm.stage" && r.kind == RecordKind::SpanStart)
-            .unwrap();
-        assert_eq!(hsm.parent, Some(q));
+        assert!(
+            recs.iter().all(|r| r.session != Some(1)),
+            "every record of the sampled-out query is dropped"
+        );
+        let kept: Vec<TraceRecord> = recs.into_iter().filter(|r| r.session == Some(2)).collect();
+        assert_eq!(kept.len(), 6, "B's whole query survives: {kept:?}");
+        check_well_nested(&kept).unwrap();
+        assert_eq!(bus.open_spans(), 0);
     }
 
     #[test]

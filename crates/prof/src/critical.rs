@@ -35,7 +35,8 @@ pub struct CriticalLink {
     /// The `sched.batch` span that served it.
     pub to: u64,
     /// Session of the drain pass that owned the batch (0 if the batch
-    /// span is absent from the trace, e.g. ring overwrite).
+    /// span is absent from the trace: ring overwrite, or the drainer's
+    /// own query was head-sampled out and took the batch span with it).
     pub served_by: u64,
     /// 1 when the waiter coalesced onto a fetch another waiter had
     /// already registered (shared physical fetch).

@@ -95,8 +95,8 @@ pub fn load_trace(text: &str) -> Result<Vec<ProfRecord>, String> {
         }
         out.push(parse_record(line).map_err(|e| format!("line {}: {e}", i + 1))?);
     }
-    // Slow sampled-out queries are promoted to the sink after later
-    // records; restore the bus's total order.
+    // The bus writes records in `seq` order; sorting restores it for a
+    // trace assembled out of order.
     out.sort_by_key(|r| r.seq);
     Ok(out)
 }

@@ -42,6 +42,14 @@ if grep -n 'is_transient\|checksum64(' crates/core/src/concurrent.rs; then
   exit 1
 fi
 
+echo "==> one span API"
+# Head sampling lives in span_start/span_end (per thread); a second
+# sampling bracket or per-subsystem trace levels must not come back.
+if grep -rnw 'query_span_start\|query_span_end\|with_level' crates src tests examples; then
+  echo "second span API or trace-level knob: use span_start/span_end"
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -164,30 +172,6 @@ assert {"off", "ring", "jsonl"} <= sinks, sinks
 print(f"validated {len(SCHEMAS)} bench artifacts")
 EOF
 
-echo "==> observability overhead re-run (links + exemplars on)"
-# Fresh measurement, not the checked-in numbers: the ring sink must stay
-# within 5% of tracing-off with link records and histogram exemplars
-# compiled into the fast path. The bench minimizes over order-rotated
-# rounds against prebuilt systems, but on a single-vCPU shared runner the
-# off baseline itself drifts several percent between invocations, so one
-# reading can straddle the bound; a true regression (an allocation or a
-# syscall on the record path is 5-20x, not 1%) fails every attempt.
-obsjson="$(mktemp)"
-obs_ok=0
-for attempt in 1 2 3 4; do
-  scripts/bench_obs.sh "$obsjson" > /dev/null
-  if python3 - "$obsjson" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-ring = next(s for s in d["sinks"] if s["sink"] == "ring")
-sys.exit(0 if ring["overhead_vs_off"] <= 0.05 else 1)
-EOF
-  then obs_ok=1; break; fi
-  echo "  ring overhead > 5% on attempt $attempt, retrying"
-done
-[ "$obs_ok" = 1 ] || { echo "ring-sink overhead exceeded 5% in 4 runs"; exit 1; }
-rm -f "$obsjson"
-
 echo "==> causal cross-session trace acceptance (release)"
 # 8 chaos-stressed sessions: links attribute every query to its shared
 # batch fetch, queue/service histograms fill, the stall watchdog fires,
@@ -234,5 +218,29 @@ grep -q 'head-sampled 1-in-2' "$tmpdir/prof-sampled.out" \
   || { echo "heaven-prof did not report the sampling rate"; exit 1; }
 [ -s "$tmpdir/prof-sampled/flame.folded" ] \
   || { echo "sampled-trace flame.folded missing or empty"; exit 1; }
+
+echo "==> observability overhead re-run (links + exemplars on)"
+# Fresh measurement, not the checked-in numbers: the ring sink must stay
+# within 5% of tracing-off with link records and histogram exemplars
+# compiled into the fast path. The bench minimizes over order-rotated
+# rounds against prebuilt systems, but on a single-vCPU shared runner the
+# off baseline itself drifts several percent between invocations, so one
+# reading can straddle the bound; a true regression (an allocation or a
+# syscall on the record path is 5-20x, not 1%) fails every attempt.
+obsjson="$(mktemp)"
+obs_ok=0
+for attempt in 1 2 3 4; do
+  scripts/bench_obs.sh "$obsjson" > /dev/null
+  if python3 - "$obsjson" <<'EOF'
+import json, sys
+d = json.load(open(sys.argv[1]))
+ring = next(s for s in d["sinks"] if s["sink"] == "ring")
+sys.exit(0 if ring["overhead_vs_off"] <= 0.05 else 1)
+EOF
+  then obs_ok=1; break; fi
+  echo "  ring overhead > 5% on attempt $attempt, retrying"
+done
+[ "$obs_ok" = 1 ] || { echo "ring-sink overhead exceeded 5% in 4 runs"; exit 1; }
+rm -f "$obsjson"
 
 echo "CI gate passed."

@@ -353,3 +353,76 @@ proptest! {
         prop_assert_eq!(kept, expected, "n={} queries={}", n, queries.len());
     }
 }
+
+/// Concurrent sessions are head-sampled exactly like the facade: every
+/// session's root `query` span draws the next ticket from the bus's one
+/// counter, so exactly every n-th query's subtree is kept, however the
+/// sessions interleave. With `keep_slow_s = 0` every sampled-out query is
+/// promoted, and each subtree arrives whole, well-nested and stamped with
+/// its one session.
+#[test]
+fn concurrent_sessions_are_head_sampled_like_the_facade() {
+    const SESSIONS: usize = 4;
+    const PER_SESSION: usize = 6;
+    let queries = SESSIONS * PER_SESSION;
+    for (n, keep_all_slow) in [(3u64, false), (4, true)] {
+        let mut trace = TraceConfig::ring(1 << 16).with_sample(n);
+        if keep_all_slow {
+            trace = trace.with_keep_slow(0.0);
+        }
+        let (heaven, oid) = archived_heaven(trace);
+        let start = std::sync::Barrier::new(SESSIONS);
+        std::thread::scope(|s| {
+            for i in 0..SESSIONS {
+                let (heaven, start) = (&heaven, &start);
+                s.spawn(move || {
+                    let session = heaven.session();
+                    start.wait();
+                    for q in 0..PER_SESSION {
+                        let x0 = ((i * 7 + q * 13) % 48) as i64;
+                        let region = mi(&[(x0, x0 + 15), (0, 31)]);
+                        session.fetch_region(oid, &region).unwrap();
+                    }
+                });
+            }
+        });
+        let recs = heaven.trace().records();
+        let roots = recs
+            .iter()
+            .filter(|r| r.kind == RecordKind::SpanStart && r.name == "query")
+            .inspect(|r| assert_eq!(r.parent, None, "session queries are roots"))
+            .count();
+        let expected = if keep_all_slow {
+            queries
+        } else {
+            queries.div_ceil(n as usize)
+        };
+        assert_eq!(roots, expected, "n={n} keep_all_slow={keep_all_slow}");
+
+        // Per session, the kept records form whole, well-nested subtrees,
+        // and a span's records carry its parent's session.
+        let span_session: HashMap<SpanId, Option<u64>> = recs
+            .iter()
+            .filter(|r| r.kind == RecordKind::SpanStart)
+            .map(|r| (r.span, r.session))
+            .collect();
+        let mut by_session: HashMap<Option<u64>, Vec<TraceRecord>> = HashMap::new();
+        for r in &recs {
+            if r.kind != RecordKind::Link {
+                if let Some(p) = r.parent {
+                    assert_eq!(span_session[&p], r.session, "{r:?}");
+                }
+            }
+            by_session.entry(r.session).or_default().push(r.clone());
+        }
+        for (session, rs) in &by_session {
+            check_well_nested(rs).unwrap_or_else(|e| panic!("session {session:?}: {e}"));
+            let count = |k: RecordKind| rs.iter().filter(|r| r.kind == k).count();
+            assert_eq!(
+                count(RecordKind::SpanStart),
+                count(RecordKind::SpanEnd),
+                "session {session:?} left a subtree open"
+            );
+        }
+    }
+}

@@ -8,7 +8,7 @@ use heaven::array::{CellType, MDArray, Minterval, ObjectId, Tiling};
 use heaven::arraydb::run;
 use heaven::core::{ExportMode, Heaven, HeavenConfig, HeavenError, PrefetchPolicy};
 use heaven::hsm::HsmError;
-use heaven::tape::{DeviceProfile, TapeError};
+use heaven::tape::{DeviceProfile, FaultConfig, TapeError};
 use heaven::workload::climate_field;
 
 fn mi(b: &[(i64, i64)]) -> Minterval {
@@ -219,4 +219,46 @@ fn session_rasql_answers_condensers_from_the_precomputed_catalog() {
     assert_eq!(heaven.precomp_stats().exact_hits, hits0 + 1);
     assert_eq!(heaven.stats().region_fetches, regions0, "no tile access");
     assert_eq!(tape_fetches(&heaven), fetches0);
+}
+
+/// `heaven.st_fetch_hist_s` after one cold batched fetch of one super-tile
+/// under `faults`, with the number of re-reads it took.
+fn batched_fetch_hist(faults: Option<FaultConfig>) -> (f64, u64, u64) {
+    let (heaven, oid, _) = archive(DeviceProfile::ibm3590(), HeavenConfig::default());
+    heaven.set_fault_plan(faults);
+    let res = heaven.session().fetch_region(oid, &mi(&[(0, 15), (0, 15)]));
+    let hist = heaven
+        .metrics()
+        .histogram("heaven.st_fetch_hist_s")
+        .summary();
+    let retries = heaven.metrics().counter("hsm.retries").get();
+    assert!(res.is_ok() || retries > 1, "{res:?}");
+    (hist.sum, hist.count, retries)
+}
+
+/// A batched fetch observes its whole recovery ladder — the failed read,
+/// the backoff and the re-read — as direct staging does, not only the
+/// drain round that finally staged the payload.
+#[test]
+fn batched_st_fetch_histogram_covers_the_whole_recovery_ladder() {
+    let (clean_s, count, _) = batched_fetch_hist(None);
+    assert_eq!(count, 1);
+    // The first seed whose schedule fails the first read once and lets
+    // the re-read through (fault decisions are a pure function of it).
+    let (ladder_s, _, _) = (0..256)
+        .map(|seed| {
+            batched_fetch_hist(Some(FaultConfig {
+                media_read_error_per_read: 0.5,
+                ..FaultConfig::quiet(seed)
+            }))
+        })
+        .find(|&(_, count, retries)| count == 1 && retries == 1)
+        .expect("a seed with exactly one re-read");
+    // The failed first read pays at least the clean read's mount, locate
+    // and transfer; the re-read follows the first retry's backoff.
+    let backoff_s = heaven::core::RetryPolicy::default().backoff_s(1);
+    assert!(
+        ladder_s >= clean_s + backoff_s,
+        "batched observation {ladder_s} s misses the ladder (clean read {clean_s} s + backoff {backoff_s} s)"
+    );
 }

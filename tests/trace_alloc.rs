@@ -88,13 +88,20 @@ fn warm_query_allocs(trace: TraceConfig) -> u64 {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
+/// Head sampling is covered too: a sampled-out query's records go to a
+/// per-thread side buffer reserved during warm-up, never per query.
 #[test]
 fn ring_trace_adds_no_allocations_to_warm_queries() {
     let off = warm_query_allocs(TraceConfig::off());
-    let ring = warm_query_allocs(TraceConfig::ring(1 << 14));
-    assert_eq!(
-        ring, off,
-        "ring tracing changed the warm-query allocation count \
-         (off: {off}, ring: {ring} allocations per 64 queries)"
-    );
+    for trace in [
+        TraceConfig::ring(1 << 14),
+        TraceConfig::ring(1 << 14).with_sample(8),
+    ] {
+        let ring = warm_query_allocs(trace.clone());
+        assert_eq!(
+            ring, off,
+            "ring tracing changed the warm-query allocation count \
+             (off: {off}, ring: {ring} allocations per 64 queries, {trace:?})"
+        );
+    }
 }
